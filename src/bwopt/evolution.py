@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Encoding, Genotype
-from .metrics import nondominated
+from .metrics import dominance, nondominated
 from .objectives import ObjectiveVector
 
 
@@ -70,9 +70,6 @@ class GreedyMask:
     def gene_slice(self) -> slice:
         return slice(2 * self.active_segment, 2 * self.active_segment + 2)
 
-    def gene_indices(self, n_genes: int) -> list[int]:
-        return [2 * self.active_segment, 2 * self.active_segment + 1]
-
 
 @dataclass
 class GenerationRecord:
@@ -103,8 +100,8 @@ class RunHistory:
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """Pareto dominance on minimization vectors."""
-    return bool(np.all(a <= b) and np.any(a < b))
+    """Pareto dominance on minimization vectors (one pair of metrics.dominance)."""
+    return bool(dominance(np.array([a, b]))[0, 1])
 
 
 # ----- initialization -------------------------------------------------------
@@ -191,8 +188,7 @@ def mutate(
 ) -> Genotype:
     """Per-gene Gaussian mutation; a greedy mask limits it to the active block."""
     genes = genotype.genes.copy()
-    indices = mask.gene_indices(genes.size) if mask is not None else range(genes.size)
-    for i in indices:
+    for i in range(genes.size)[mask.gene_slice if mask is not None else slice(None)]:
         if rng.random() < config.mutation_rate:
             genes[i] += rng.normal(0.0, _gene_sigma(config, genotype.encoding, i))
     if genotype.encoding is Encoding.ANGULAR:
@@ -216,13 +212,8 @@ def spea2_fitness(union: list[Individual]) -> None:
     """
     n = len(union)
     points = np.array([ind.point for ind in union])
-    dom = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j and dominates(points[i], points[j]):
-                dom[i, j] = True
-    strength = dom.sum(axis=1)
-    raw = np.array([strength[dom[:, i]].sum() for i in range(n)], dtype=float)
+    dom = dominance(points)
+    raw = (dom.sum(axis=1) @ dom).astype(float)  # strengths of each member's dominators
     if n > 1:
         dist = _pairwise_distances(points)
         order = np.sort(dist, axis=1)  # column 0 is the self-distance 0
@@ -241,21 +232,16 @@ def _truncate(candidates: list[Individual], target: int, rng: np.random.Generato
     The victim has the lexicographically smallest sorted distance vector to
     the survivors (nearest neighbor first); exact ties are broken uniformly.
     """
-    alive = list(range(len(candidates)))
-    points = np.array([candidates[i].point for i in alive])
+    points = np.array([ind.point for ind in candidates])
     dist = _pairwise_distances(points)
+    np.fill_diagonal(dist, np.inf)  # the self-distance sorts last, equal in every key
+    alive = np.arange(len(candidates))
     while len(alive) > target:
-        best_key = None
-        best_idx: list[int] = []
-        for pos, i in enumerate(alive):
-            others = [j for j in alive if j != i]
-            key = tuple(np.sort(dist[i, others]))
-            if best_key is None or key < best_key:
-                best_key, best_idx = key, [i]
-            elif key == best_key:
-                best_idx.append(i)
-        victim = best_idx[0] if rng is None or len(best_idx) == 1 else best_idx[int(rng.integers(len(best_idx)))]
-        alive.remove(victim)
+        keys = np.sort(dist[np.ix_(alive, alive)], axis=1)
+        lowest = keys[np.lexsort(keys.T[::-1])[0]]
+        ties = np.flatnonzero(np.all(keys == lowest, axis=1))
+        victim = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+        alive = np.delete(alive, victim)
     return [candidates[i] for i in alive]
 
 
@@ -486,7 +472,7 @@ def _de_trial(
     g3 = population[others[int(r3)]].genotype.genes
     donor = g1 + config.de_weight * (g2 - g3)
     genes = target.genes.copy()
-    eligible = mask.gene_indices(genes.size) if mask is not None else list(range(genes.size))
+    eligible = range(genes.size)[mask.gene_slice if mask is not None else slice(None)]
     forced = eligible[int(rng.integers(len(eligible)))]
     for j in eligible:
         if j == forced or rng.random() < config.crossover_rate:

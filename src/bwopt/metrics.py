@@ -20,18 +20,26 @@ class MetricsWarning(UserWarning):
     pass
 
 
+def dominance(points: np.ndarray) -> np.ndarray:
+    """Pareto-dominance matrix on minimization vectors.
+
+    d[i, j] is true when row i dominates row j: no worse in every objective
+    and better in at least one. Exact duplicates do not dominate each other,
+    and a row with a NaN neither dominates nor is dominated.
+    """
+    p = np.asarray(points, dtype=float)
+    if p.size == 0:
+        return np.zeros((len(p), len(p)), dtype=bool)
+    at_most = np.all(p[:, None] <= p[None], axis=2)
+    return at_most & ~at_most.T
+
+
 def nondominated(points: np.ndarray) -> np.ndarray:
     """Indices of points not dominated by any other (minimization).
 
     Exact duplicates do not dominate each other, so all copies survive.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return np.empty(0, dtype=int)
-    at_most = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
-    below = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
-    dominated = np.any(at_most & below, axis=0)
-    return np.flatnonzero(~dominated)
+    return np.flatnonzero(~dominance(points).any(axis=0))
 
 
 def _reduce(pts: np.ndarray) -> np.ndarray:
@@ -47,9 +55,7 @@ def _reduce(pts: np.ndarray) -> np.ndarray:
         distinct[0] = True
         np.any(pts[1:] != pts[:-1], axis=1, out=distinct[1:])
         pts = pts[distinct]
-    # after dedup, "dominated" reduces to "some other row is <= everywhere"
-    at_most = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
-    return pts[at_most.sum(axis=0) == 1]
+    return pts[~dominance(pts).any(axis=0)]
 
 
 def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:

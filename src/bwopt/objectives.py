@@ -59,10 +59,6 @@ class ObjectiveVector:
     def feasible(self) -> bool:
         return self.violations == 0
 
-    def min_vector(self) -> np.ndarray:
-        """Raw objectives in minimization form (clearance negated)."""
-        return np.concatenate(([self.cost, -self.nav_distance], self.wave_heights))
-
 
 @dataclass
 class RelativeObjectiveVector:
@@ -73,6 +69,7 @@ class RelativeObjectiveVector:
     wave_heights: np.ndarray
 
     def min_vector(self) -> np.ndarray:
+        """Minimization form (clearance negated), the optimizer's space."""
         return np.concatenate(([self.cost, -self.nav_distance], self.wave_heights))
 
 

@@ -197,7 +197,8 @@ class FileExchangeWaveModel:
         boundary.txt   'incident_height <m>' and 'wave_direction <deg>' lines
     then runs the command with the work directory as cwd and reads back
         heights.txt    n_rows lines of n_cols space-separated heights (m)
-    Heights on land cells are ignored and forced to zero.
+    Heights on land cells are ignored and forced to zero; a NaN, infinite or
+    negative height on a water cell raises ValueError.
     """
 
     def __init__(self, command: list[str], workdir: str | Path):
@@ -218,6 +219,12 @@ class FileExchangeWaveModel:
         if field.shape != (grid.n_rows, grid.n_cols):
             raise ValueError(
                 f"external model returned shape {field.shape}, expected {(grid.n_rows, grid.n_cols)}"
+            )
+        bad = ~grid.land_mask & ~((field >= 0.0) & (field < np.inf))  # NaN fails both
+        if bad.any():
+            raise ValueError(
+                f"external model returned {int(bad.sum())} NaN, infinite or negative "
+                f"water-cell heights, first at (row, col) = {tuple(np.argwhere(bad)[0].tolist())}"
             )
         field = field.copy()
         field[grid.land_mask] = 0.0

@@ -18,6 +18,8 @@ from bwopt.evolution import (
     sample_genotype,
     spea2_fitness,
     _de_trial,
+    _pairwise_distances,
+    _truncate,
 )
 from bwopt.geometry import Encoding, Genotype, decode
 from bwopt.objectives import ObjectiveVector, cost
@@ -248,6 +250,48 @@ def test_truncation_matches_reference_oracle():
         assert got == truncation_oracle(points, target)
 
 
+def truncate_loop_reference(candidates, target, rng):
+    """The per-survivor loop _truncate replaced, kept as its bit-level reference."""
+    alive = list(range(len(candidates)))
+    points = np.array([candidates[i].point for i in alive])
+    dist = _pairwise_distances(points)
+    while len(alive) > target:
+        best_key = None
+        best_idx = []
+        for i in alive:
+            others = [j for j in alive if j != i]
+            key = tuple(np.sort(dist[i, others]))
+            if best_key is None or key < best_key:
+                best_key, best_idx = key, [i]
+            elif key == best_key:
+                best_idx.append(i)
+        victim = best_idx[0] if rng is None or len(best_idx) == 1 else best_idx[int(rng.integers(len(best_idx)))]
+        alive.remove(victim)
+    return [candidates[i] for i in alive]
+
+
+def test_truncation_exact_ties_match_loop_reference():
+    # equally spaced collinear points, an integer grid and exact duplicates
+    # all tie exactly, so the uniform tie draw is reached
+    point_sets = [
+        [[i, -i] for i in range(9)],
+        [[x, y] for x in range(4) for y in range(4)],
+        [[0, 2], [0, 2], [1, 1], [1, 1], [2, 0], [2, 0], [3, -1]],
+    ]
+    tie_draws = 0
+    for points in point_sets:
+        union = inds_from_points(points)
+        for target in range(1, len(union)):
+            assert _truncate(union, target, None) == truncate_loop_reference(union, target, None)
+            for seed in range(3):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _truncate(union, target, rng)
+                assert got == truncate_loop_reference(union, target, ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                tie_draws += rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+    assert tie_draws > 0
+
+
 def test_selection_fills_with_best_dominated():
     # 3 nondominated plus 4 dominated, archive of 5
     points = [
@@ -362,7 +406,6 @@ def test_mask_cycles():
 def test_mask_gene_slice():
     mask = GreedyMask(2, 5)
     assert mask.gene_slice == slice(4, 6)
-    assert mask.gene_indices(10) == [4, 5]
 
 
 # ----- full loops -----

@@ -12,6 +12,7 @@ from bwopt.metrics import (
     IncrementalHypervolume,
     MetricsWarning,
     all_front_points,
+    dominance,
     hypervolume,
     nondominated,
     quartile_table,
@@ -77,8 +78,10 @@ def test_nondominated_matches_brute_force():
     for _ in range(100):
         n = int(rng.integers(1, 40))
         d = int(rng.integers(2, 5))
-        pts = rng.integers(0, 5, size=(n, d)).astype(float)  # ties on purpose
+        pts = rng.integers(0, 5, size=(n, d)).astype(float)  # ties and duplicates on purpose
         assert list(nondominated(pts)) == brute_nondominated(pts)
+        pairwise = [[bool(np.all(a <= b) and np.any(a < b)) for b in pts] for a in pts]
+        assert dominance(pts).tolist() == pairwise
 
 
 # ----- hypervolume: pinned cases -----

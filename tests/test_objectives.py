@@ -49,8 +49,6 @@ def test_cost_scales_with_cell_size():
 # ----- vectors -----
 
 def test_min_vector_negates_clearance():
-    raw = raw_vector(cost=5.0, nav_distance=7.0, wave_heights=np.array([1.0, 2.0]))
-    assert np.array_equal(raw.min_vector(), [5.0, -7.0, 1.0, 2.0])
     rel = rel_vector(cost=-10.0, nav=4.0, waves=(-50.0, -25.0))
     assert np.array_equal(rel.min_vector(), [-10.0, -4.0, -50.0, -25.0])
 

@@ -272,6 +272,30 @@ def test_read_field_rejects_ragged(tmp_path):
         read_field(path)
 
 
+def fixed_heights_model(tmp_path, text):
+    script = tmp_path / "model.py"
+    script.write_text(f"open('heights.txt', 'w').write({text!r})\n")
+    return FileExchangeWaveModel([sys.executable, str(script)], tmp_path / "work")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
+def test_file_exchange_model_rejects_bad_water_heights(tmp_path, bad):
+    model = fixed_heights_model(tmp_path, f"1 1 1\n1 1 {bad}\n{bad} 1 1\n")
+    grid = ScenarioGrid.from_depth(np.full((3, 3), 5.0), 25.0)
+    with pytest.raises(ValueError, match=r"returned 2 .* \(row, col\) = \(1, 2\)"):
+        model.simulate(grid, ObstacleSet(), south_boundary())
+
+
+def test_file_exchange_model_ignores_nan_on_land(tmp_path):
+    model = fixed_heights_model(tmp_path, "nan 1 1\n1 1 1\n1 1 1\n")
+    depth = np.full((3, 3), 5.0)
+    depth[0, 0] = LAND
+    grid = ScenarioGrid.from_depth(depth, 25.0)
+    field = model.simulate(grid, ObstacleSet(), south_boundary())
+    assert field[0, 0] == 0.0
+    assert np.all(field.ravel()[1:] == 1.0)
+
+
 EXTERNAL_MODEL = """\
 import numpy as np
 depth = np.loadtxt("depth.txt", ndmin=2)
