@@ -92,12 +92,6 @@ class RunHistory:
     def final_front(self) -> list[Individual]:
         return self.records[-1].front if self.records else []
 
-    def front_points(self, generation: int) -> np.ndarray:
-        front = self.records[generation].front
-        if not front:
-            return np.empty((0, 0))
-        return np.array([ind.point for ind in front])
-
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """Pareto dominance on minimization vectors (one pair of metrics.dominance)."""

@@ -69,6 +69,10 @@ class VariantSpec:
         return f"{self.algorithm}_{self.encoding.value}" + ("_greedy" if self.greedy else "")
 
 
+# EAConfig fields that config_for takes from the plan, its variant and the seed
+_PLAN_FIELDS = {"population_size", "archive_size", "generations", "encoding", "greedy", "seed"}
+
+
 @dataclass
 class ExperimentPlan:
     variants: list[VariantSpec]
@@ -87,6 +91,15 @@ class ExperimentPlan:
             raise ValueError("plan lists no seeds")
         if len(set(v.name for v in self.variants)) != len(self.variants):
             raise ValueError("plan lists duplicate variants")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("plan lists duplicate seeds")  # their runs would share an output path
+        operators = set(self.operators or ())
+        unknown = operators - set(EAConfig.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown operator keys in plan: {sorted(unknown)}")
+        fixed = operators & _PLAN_FIELDS
+        if fixed:
+            raise ValueError(f"operator keys {sorted(fixed)} are set by the plan and its variants")
 
     @property
     def repeats(self) -> int:
@@ -127,12 +140,6 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     seeds = [int(s) for s in data["seeds"]]
     if "repeats" in data and int(data["repeats"]) != len(seeds):
         raise ValueError(f"plan says repeats={data['repeats']} but lists {len(seeds)} seeds")
-    operators = data.get("operators")
-    if operators is not None:
-        allowed = set(EAConfig.__dataclass_fields__)
-        unknown = set(operators) - allowed
-        if unknown:
-            raise ValueError(f"unknown operator keys in plan: {sorted(unknown)}")
     return ExperimentPlan(
         variants=variants,
         seeds=seeds,
@@ -141,7 +148,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         archive_size=int(data.get("archive_size", 30)),
         scenario=data.get("scenario"),
         name=str(data.get("name", "experiment")),
-        operators=operators,
+        operators=data.get("operators"),
     )
 
 

@@ -1,9 +1,11 @@
 """Front quality metrics.
 
-Hypervolume here is exact, not estimated: the 2-D case is a rectangle sweep
-over the sorted front, higher dimensions recurse over slabs of the last
-coordinate. All metrics operate on minimization vectors (the optimizer's
-relative-objective space).
+Hypervolume here is exact, not estimated: 2-D and 3-D fronts are swept
+directly, and four or more dimensions use the WFG exclusive-volume recursion
+(While, Bradstreet & Barone, IEEE TEVC 2012), which stays in the same
+dimension, so 5-D fronts never reach the sweeps. Points not strictly inside
+the reference box are dropped before any of it runs. All metrics operate on
+minimization vectors (the optimizer's relative-objective space).
 """
 from __future__ import annotations
 
@@ -86,42 +88,39 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _hv(pts: np.ndarray, ref: np.ndarray) -> float:
-    """Exclusive-contribution recursion (the WFG scheme).
+    """Hypervolume of _reduce output, every point strictly inside ref.
 
-    The set's volume is the sum over points of the volume each adds beyond
-    the points after it: inclusive box minus the volume of the point's
-    "limit set" (later points clipped into its box). Expects reduced input
-    (deduplicated, nondominated, sorted ascending by the last objective);
-    low dimensions bottom out in direct sweeps.
+    hypervolume() and IncrementalHypervolume.add drop the other points first.
+    2-D and 3-D input is swept; otherwise (d >= 4, or d == 1 where reduced
+    input is one point) it is the sum of each point's exclusive volume
+    against the points after it.
     """
     d = pts.shape[1]
-    if d == 1:
-        return float(ref[0] - pts[:, 0].min())
     if d == 2:
         return _hv_2d(pts, ref)
     if d == 3:
         return _hv_3d(pts, ref)
     total = 0.0
     for i in range(len(pts)):
-        point = pts[i]
-        inclusive = float(np.prod(ref - point))
-        limit = np.maximum(pts[i + 1 :], point)
-        limit = limit[np.all(limit < ref, axis=1)]
-        if len(limit):
-            total += inclusive - _hv(_reduce(limit), ref)
-        else:
-            total += inclusive
+        total += _exclusive(pts[i], pts[i + 1 :], ref)
     return total
 
 
+def _exclusive(point: np.ndarray, others: np.ndarray, ref: np.ndarray) -> float:
+    """Volume of point's box outside the boxes of others: the box minus others clipped into it."""
+    exclusive = float(np.prod(ref - point))
+    if len(others):
+        exclusive -= _hv(_reduce(np.maximum(others, point)), ref)
+    return exclusive
+
+
 def _hv_3d(pts: np.ndarray, ref: np.ndarray) -> float:
-    """Sweep ascending the third coordinate, keeping a 2-D staircase.
+    """Sweep reduced input, already ascending in z, keeping a 2-D staircase.
 
     Each slab contributes the staircase area times its thickness; staircase
     insertions update the area locally, so the whole sweep is O(n log n)
     plus removals.
     """
-    pts = pts[np.argsort(pts[:, 2], kind="stable")]
     ref_x, ref_y, ref_z = (float(v) for v in ref)
     xs: list[float] = []  # staircase abscissae, ascending
     ys: list[float] = []  # matching ordinates, strictly descending
@@ -154,9 +153,8 @@ def _hv_3d(pts: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _hv_2d(pts: np.ndarray, ref: np.ndarray) -> float:
-    # nondominated and deduplicated, so x strictly increases and y strictly decreases
-    order = np.argsort(pts[:, 0], kind="stable")
-    pts = pts[order]
+    # reduced input ascends in y, so x strictly descends: reversing sorts by x
+    pts = pts[::-1]
     total = 0.0
     for i in range(len(pts)):
         x_next = pts[i + 1, 0] if i + 1 < len(pts) else ref[0]
@@ -185,14 +183,10 @@ class IncrementalHypervolume:
         point = np.asarray(point, dtype=float)
         if not np.all(point < self.reference):
             return self.value  # dominates nothing inside the reference box
-        if len(self.front) and bool(np.any(np.all(self.front <= point, axis=1))):
+        if np.any(np.all(self.front <= point, axis=1)):
             return self.value  # dominated (or duplicate): contributes nothing
-        exclusive = float(np.prod(self.reference - point))
-        if len(self.front):
-            limit = _reduce(np.maximum(self.front, point))
-            if len(limit):
-                exclusive -= _hv(limit, self.reference)
-            self.front = self.front[~np.all(self.front >= point, axis=1)]
+        exclusive = _exclusive(point, self.front, self.reference)
+        self.front = self.front[~np.all(self.front >= point, axis=1)]
         self.value += max(exclusive, 0.0)
         self.front = np.vstack([self.front, point[None, :]])
         return self.value

@@ -153,7 +153,6 @@ def single_objective(
     rel: RelativeObjectiveVector,
     violations: int = 0,
     penalty: float = DEFAULT_VIOLATION_PENALTY,
-    swap_wave_nav: bool = False,
 ) -> float:
     """Scalar convolution of the relative objectives, lower is better.
 
@@ -163,9 +162,6 @@ def single_objective(
     denominator; it is clamped to a signed epsilon and a warning recorded.
     """
     wave_term = float(np.mean(rel.wave_heights))
-    nav_term = rel.nav_distance
-    if swap_wave_nav:
-        wave_term, nav_term = nav_term, wave_term
     denominator = 100.0 - rel.cost
     if abs(denominator) < DENOMINATOR_EPS:
         warnings.warn(
@@ -175,4 +171,4 @@ def single_objective(
             stacklevel=2,
         )
         denominator = math.copysign(DENOMINATOR_EPS, denominator)
-    return float((100.0 + wave_term + nav_term) / denominator + penalty * violations)
+    return float((100.0 + wave_term + rel.nav_distance) / denominator + penalty * violations)

@@ -99,7 +99,6 @@ class Scenario:
     nav_sampling_step: float = 0.25
     diffusion_passes: int = DEFAULT_DIFFUSION_PASSES
     violation_penalty: float = 1e6
-    swap_wave_nav: bool = False
     source: dict | None = None
 
     # filled by finalize()
@@ -248,7 +247,6 @@ class Scenario:
             self.relative(objectives),
             violations=objectives.violations,
             penalty=self.violation_penalty,
-            swap_wave_nav=self.swap_wave_nav,
         )
 
     def snap(self, genotype: Genotype) -> Genotype:
@@ -332,7 +330,6 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         nav_sampling_step=float(data.get("nav_sampling_step", 0.25)),
         diffusion_passes=int(data.get("diffusion_passes", DEFAULT_DIFFUSION_PASSES)),
         violation_penalty=float(data.get("violation_penalty", 1e6)),
-        swap_wave_nav=bool(data.get("swap_wave_nav", False)),
         source=data,
     )
     return scenario.finalize()

@@ -108,6 +108,30 @@ def test_plan_unknown_operator_keys_rejected():
         plan_from_dict(plan_dict(operators={"turbo": 1}))
 
 
+@pytest.mark.parametrize(
+    "key", ["population_size", "archive_size", "generations", "encoding", "greedy", "seed"]
+)
+def test_plan_operator_keys_set_by_the_plan_rejected(key):
+    # config_for would silently override these, while plan.json and summary.csv report the plan's
+    with pytest.raises(ValueError, match=f"operator keys.*{key}.*set by the plan"):
+        plan_from_dict(plan_dict(operators={key: 7, "mutation_rate": 0.5}))
+
+
+def test_plan_duplicate_seeds_rejected():
+    with pytest.raises(ValueError, match="duplicate seeds"):
+        plan_from_dict(plan_dict(seeds=[1, 3, 1]))
+
+
+def test_plan_built_in_code_is_validated():
+    variants = [VariantSpec("spea2", Encoding.ANGULAR)]
+    with pytest.raises(ValueError, match="duplicate seeds"):
+        ExperimentPlan(variants=variants, seeds=[1, 1])
+    with pytest.raises(ValueError, match="unknown operator keys"):
+        ExperimentPlan(variants=variants, seeds=[1], operators={"turbo": 1})
+    with pytest.raises(ValueError, match="set by the plan"):
+        ExperimentPlan(variants=variants, seeds=[1], operators={"seed": 7})
+
+
 def test_plan_operators_override_config():
     plan = plan_from_dict(plan_dict(operators={"mutation_rate": 0.5, "de_weight": 0.9}))
     config = plan.config_for(plan.variants[0], 11)

@@ -187,6 +187,23 @@ def test_hv_3d_sweep_agrees_with_generic_recursion():
         )
 
 
+def sphere_front(seed, n, d):
+    pts = np.random.default_rng(seed).uniform(0.05, 1.0, size=(n, d))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def test_hv_bit_exact_on_fixed_fronts():
+    # exact values, not approx: a reordered sum or a dropped branch changes the last bits
+    for seed, n, d, expected in (
+        (21, 30, 2, 0.36342333903414986),
+        (22, 40, 3, 0.507579293560824),
+        (23, 25, 5, 0.5786612865876335),
+    ):
+        assert hypervolume(sphere_front(seed, n, d), np.full(d, 1.1)) == expected
+    acc = IncrementalHypervolume(np.full(5, 1.1))
+    assert acc.add_all(sphere_front(23, 25, 5)) == 0.5786612865876335
+
+
 # ----- incremental hypervolume -----
 
 def test_incremental_matches_direct():

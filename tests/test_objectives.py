@@ -101,24 +101,15 @@ def test_single_objective_improvement_lowers_score():
 def test_single_objective_averages_wave_heights():
     got = single_objective(rel_vector(waves=(-30.0, -10.0)))
     assert got == pytest.approx((100.0 - 20.0) / 100.0)
+    # the clearance change adds to the mean wave change
+    got = single_objective(rel_vector(nav=8.0, waves=(-40.0, -20.0)))
+    assert got == pytest.approx((100.0 + 8.0 - 30.0) / 100.0)
 
 
 def test_single_objective_violation_penalty():
     clean = single_objective(rel_vector(), violations=0)
     dirty = single_objective(rel_vector(), violations=2)
     assert dirty == pytest.approx(clean + 2e6)
-
-
-def test_single_objective_swap_switch():
-    # with one wave height the mean is the height itself: swap is a no-op sum-wise
-    rel = rel_vector(nav=8.0, waves=(-40.0,))
-    assert single_objective(rel) == pytest.approx((100.0 - 40.0 + 8.0) / 100.0)
-    assert single_objective(rel, swap_wave_nav=True) == pytest.approx(single_objective(rel))
-    # with two heights the swap still sums mean waves and nav, same result
-    rel2 = rel_vector(nav=8.0, waves=(-40.0, -20.0))
-    assert single_objective(rel2, swap_wave_nav=True) == pytest.approx(
-        (100.0 + 8.0 - 30.0) / 100.0
-    )
 
 
 def test_single_objective_denominator_clamp_warns():
