@@ -6,16 +6,30 @@ directly, and four or more dimensions use the WFG exclusive-volume recursion
 dimension, so 5-D fronts never reach the sweeps. Points not strictly inside
 the reference box are dropped before any of it runs. All metrics operate on
 minimization vectors (the optimizer's relative-objective space).
+
+The hypervolume kernel (_reduce, _hv, _exclusive, the sweeps and
+IncrementalHypervolume) runs on lists of plain-float tuples, not arrays: a
+5-D convergence series makes about 10^5 recursive calls, most on one or two
+points, where NumPy's per-call overhead costs more than the arithmetic.
+Every box product multiplies the coordinates left to right, and every sum
+adds the points in _reduce's sorted order. Float addition is not
+associative, so this fixed order is what makes each value, and every
+exported file that carries one, the same bit for bit on every run.
 """
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass
+from operator import ge, le, lt
 
 import numpy as np
 
 from .objectives import COST_INDEX, WAVE_START_INDEX
+
+
+Point = tuple[float, ...]  # a minimization vector inside the hypervolume kernel
 
 
 class MetricsWarning(UserWarning):
@@ -44,20 +58,19 @@ def nondominated(points: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~dominance(points).any(axis=0))
 
 
-def _reduce(pts: np.ndarray) -> np.ndarray:
+def _reduce(pts: list[Point]) -> list[Point]:
     """Deduplicate and keep the nondominated subset, sorted by last objective.
 
-    Internal fast path: assumes a plain float 2-D array, returns rows sorted
-    ascending by the last coordinate (lexicographic tie-break), which is the
-    processing order the hypervolume recursion wants.
+    Sorts by the reversed tuple (last coordinate first, lexicographic
+    tie-break), the processing order the hypervolume recursion wants. A point
+    is kept only when no earlier kept point is <= in every coordinate: a
+    dominator always sorts earlier, and so does the first copy of a duplicate.
     """
-    pts = pts[np.lexsort(pts.T)]
-    if len(pts) > 1:
-        distinct = np.empty(len(pts), dtype=bool)
-        distinct[0] = True
-        np.any(pts[1:] != pts[:-1], axis=1, out=distinct[1:])
-        pts = pts[distinct]
-    return pts[~dominance(pts).any(axis=0)]
+    kept: list[Point] = []
+    for p in sorted(pts, key=lambda p: p[::-1]):
+        if not any(all(map(le, k, p)) for k in kept):
+            kept.append(p)
+    return kept
 
 
 def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
@@ -84,53 +97,53 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
         pts = pts[inside]
     if pts.size == 0:
         return 0.0
-    return _hv(_reduce(pts), ref)
+    return _hv(_reduce(list(map(tuple, pts.tolist()))), tuple(ref.tolist()))
 
 
-def _hv(pts: np.ndarray, ref: np.ndarray) -> float:
+def _hv(pts: list[Point], ref: Point) -> float:
     """Hypervolume of _reduce output, every point strictly inside ref.
 
     hypervolume() and IncrementalHypervolume.add drop the other points first.
     2-D and 3-D input is swept; otherwise (d >= 4, or d == 1 where reduced
     input is one point) it is the sum of each point's exclusive volume
-    against the points after it.
+    against the points after it, in input order.
     """
-    d = pts.shape[1]
+    d = len(ref)
     if d == 2:
         return _hv_2d(pts, ref)
     if d == 3:
         return _hv_3d(pts, ref)
     total = 0.0
-    for i in range(len(pts)):
-        total += _exclusive(pts[i], pts[i + 1 :], ref)
+    for i, point in enumerate(pts):
+        total += _exclusive(point, pts[i + 1 :], ref)
     return total
 
 
-def _exclusive(point: np.ndarray, others: np.ndarray, ref: np.ndarray) -> float:
+def _exclusive(point: Point, others: list[Point], ref: Point) -> float:
     """Volume of point's box outside the boxes of others: the box minus others clipped into it."""
-    exclusive = float(np.prod(ref - point))
-    if len(others):
-        exclusive -= _hv(_reduce(np.maximum(others, point)), ref)
+    exclusive = math.prod([r - x for r, x in zip(ref, point)])
+    if others:
+        exclusive -= _hv(_reduce([tuple(map(max, q, point)) for q in others]), ref)
     return exclusive
 
 
-def _hv_3d(pts: np.ndarray, ref: np.ndarray) -> float:
+def _hv_3d(pts: list[Point], ref: Point) -> float:
     """Sweep reduced input, already ascending in z, keeping a 2-D staircase.
 
     Each slab contributes the staircase area times its thickness; staircase
     insertions update the area locally, so the whole sweep is O(n log n)
     plus removals.
     """
-    ref_x, ref_y, ref_z = (float(v) for v in ref)
+    ref_x, ref_y, ref_z = ref
     xs: list[float] = []  # staircase abscissae, ascending
     ys: list[float] = []  # matching ordinates, strictly descending
     area = 0.0
     total = 0.0
-    prev_z = float(pts[0, 2])
+    prev_z = pts[0][2]
     for x, y, z in pts:
         if z > prev_z:
             total += area * (z - prev_z)
-            prev_z = float(z)
+            prev_z = z
         i = bisect.bisect_left(xs, x)
         if i > 0 and ys[i - 1] <= y:
             continue  # already covered by a lower-or-equal step on the left
@@ -146,20 +159,20 @@ def _hv_3d(pts: np.ndarray, ref: np.ndarray) -> float:
             next_x = xs[k + 1] if k + 1 < j else right_x
             gained -= (next_x - xs[k]) * (ref_y - ys[k])
         del xs[i:j], ys[i:j]
-        xs.insert(i, float(x))
-        ys.insert(i, float(y))
+        xs.insert(i, x)
+        ys.insert(i, y)
         area += gained
     return total + area * (ref_z - prev_z)
 
 
-def _hv_2d(pts: np.ndarray, ref: np.ndarray) -> float:
+def _hv_2d(pts: list[Point], ref: Point) -> float:
     # reduced input ascends in y, so x strictly descends: reversing sorts by x
     pts = pts[::-1]
     total = 0.0
-    for i in range(len(pts)):
-        x_next = pts[i + 1, 0] if i + 1 < len(pts) else ref[0]
-        total += (x_next - pts[i, 0]) * (ref[1] - pts[i, 1])
-    return float(total)
+    for i, (x, y) in enumerate(pts):
+        x_next = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
+        total += (x_next - x) * (ref[1] - y)
+    return total
 
 
 class IncrementalHypervolume:
@@ -172,23 +185,33 @@ class IncrementalHypervolume:
     value equals hypervolume() of the union of everything ever added, and it
     never decreases: exclusive volumes are nonnegative, with float noise
     clipped at zero.
+
+    The reference and each front point are tuples of plain floats, and
+    value is a plain float. Each exclusive volume is computed in the fixed
+    order the module docstring describes and added to value in insertion
+    order, so a given sequence of points gives the same value to the last
+    bit on every run, and the exported snapshots stay byte-identical.
     """
 
     def __init__(self, reference: np.ndarray):
-        self.reference = np.asarray(reference, dtype=float)
-        self.front = np.empty((0, self.reference.shape[0]))
+        self.reference = tuple(np.asarray(reference, dtype=float).tolist())
+        self.front: list[Point] = []
         self.value = 0.0
 
     def add(self, point: np.ndarray) -> float:
-        point = np.asarray(point, dtype=float)
-        if not np.all(point < self.reference):
+        point = tuple(np.asarray(point, dtype=float).tolist())
+        if len(point) != len(self.reference):
+            raise ValueError(
+                f"point is {len(point)}-dimensional, reference is {len(self.reference)}-dimensional"
+            )
+        if not all(map(lt, point, self.reference)):
             return self.value  # dominates nothing inside the reference box
-        if np.any(np.all(self.front <= point, axis=1)):
+        if any(all(map(le, q, point)) for q in self.front):
             return self.value  # dominated (or duplicate): contributes nothing
         exclusive = _exclusive(point, self.front, self.reference)
-        self.front = self.front[~np.all(self.front >= point, axis=1)]
+        self.front = [q for q in self.front if not all(map(ge, q, point))]
         self.value += max(exclusive, 0.0)
-        self.front = np.vstack([self.front, point[None, :]])
+        self.front.append(point)
         return self.value
 
     def add_all(self, points: np.ndarray) -> float:
@@ -249,7 +272,7 @@ def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
         points = (
             np.array([ind.point for ind in record.front])
             if record.front
-            else np.empty((0, acc.reference.shape[0]))
+            else np.empty((0, len(acc.reference)))
         )
         out.append(
             FrontSnapshot(

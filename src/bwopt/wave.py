@@ -29,6 +29,8 @@ from .geometry import LAND, Material, ScenarioGrid, supercover_line
 DEFAULT_TRANSMISSION = {Material.SOLID_WALL: 0.1, Material.TETRAPOD: 0.35}
 DEFAULT_DIFFUSION_PASSES = 3
 
+STDERR_TAIL_CHARS = 2000  # how much of a failing solver's stderr an error quotes
+
 _NEIGHBOR_SHIFTS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
 
 
@@ -198,7 +200,9 @@ class FileExchangeWaveModel:
     then runs the command with the work directory as cwd and reads back
         heights.txt    n_rows lines of n_cols space-separated heights (m)
     Heights on land cells are ignored and forced to zero; a NaN, infinite or
-    negative height on a water cell raises ValueError.
+    negative height on a water cell raises ValueError. A nonzero exit status
+    raises RuntimeError naming the status and the tail of the command's
+    stderr.
     """
 
     def __init__(self, command: list[str], workdir: str | Path):
@@ -214,7 +218,12 @@ class FileExchangeWaveModel:
         with open(self.workdir / "boundary.txt", "w") as fh:
             fh.write(f"incident_height {boundary.incident_height!r}\n")
             fh.write(f"wave_direction {boundary.wave_direction!r}\n")
-        subprocess.run(self.command, cwd=self.workdir, check=True)
+        done = subprocess.run(self.command, cwd=self.workdir, stderr=subprocess.PIPE)
+        if done.returncode != 0:
+            tail = done.stderr.decode(errors="replace")[-STDERR_TAIL_CHARS:]
+            raise RuntimeError(
+                f"external model {self.command!r} exited with status {done.returncode}; stderr tail: {tail!r}"
+            )
         field = read_field(self.workdir / "heights.txt")
         if field.shape != (grid.n_rows, grid.n_cols):
             raise ValueError(

@@ -106,6 +106,8 @@ def test_hv_empty_is_zero():
 def test_hv_dimension_mismatch():
     with pytest.raises(ValueError, match="dimensional"):
         hypervolume(np.array([[0.0, 0.0]]), np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="dimensional"):
+        IncrementalHypervolume(np.array([1.0, 1.0, 1.0])).add([0.0, 0.0])
 
 
 def test_hv_point_outside_reference_warns_and_is_dropped():
@@ -202,6 +204,73 @@ def test_hv_bit_exact_on_fixed_fronts():
         assert hypervolume(sphere_front(seed, n, d), np.full(d, 1.1)) == expected
     acc = IncrementalHypervolume(np.full(5, 1.1))
     assert acc.add_all(sphere_front(23, 25, 5)) == 0.5786612865876335
+
+
+def test_hv_returns_plain_float():
+    for d in (2, 3, 4, 5):
+        pts, ref = sphere_front(30 + d, 12, d), np.full(d, 1.1)
+        assert type(hypervolume(pts, ref)) is float
+        acc = IncrementalHypervolume(ref)
+        acc.add_all(pts)
+        assert type(acc.value) is float
+
+
+# ----- bit-exactness against the NumPy kernel the plain-float one replaced -----
+
+def np_reduce(pts):
+    pts = pts[np.lexsort(pts.T)]
+    if len(pts) > 1:
+        distinct = np.empty(len(pts), dtype=bool)
+        distinct[0] = True
+        np.any(pts[1:] != pts[:-1], axis=1, out=distinct[1:])
+        pts = pts[distinct]
+    return pts[~dominance(pts).any(axis=0)]
+
+
+def np_hv(pts, ref):
+    # d >= 4 only: the recursion stays in d dimensions and never reaches the sweeps
+    total = 0.0
+    for i in range(len(pts)):
+        total += np_exclusive(pts[i], pts[i + 1 :], ref)
+    return total
+
+
+def np_exclusive(point, others, ref):
+    exclusive = float(np.prod(ref - point))
+    if len(others):
+        exclusive -= np_hv(np_reduce(np.maximum(others, point)), ref)
+    return exclusive
+
+
+def np_incremental_values(points, ref):
+    front = np.empty((0, len(ref)))
+    value = 0.0
+    values = []
+    for point in points:
+        if np.all(point < ref) and not np.any(np.all(front <= point, axis=1)):
+            exclusive = np_exclusive(point, front, ref)
+            front = front[~np.all(front >= point, axis=1)]
+            value += max(exclusive, 0.0)
+            front = np.vstack([front, point[None, :]])
+        values.append(value)
+    return values
+
+
+def test_hv_bit_exact_against_numpy_kernel():
+    rng = np.random.default_rng(11)
+    for d in (4, 5):
+        for trial in range(12):
+            n = int(rng.integers(2, 20))
+            if trial % 2:
+                pts, ref = rng.integers(0, 4, size=(n, d)).astype(float), np.full(d, 4.5)
+            else:
+                pts, ref = rng.uniform(0, 1, size=(n, d)), rng.uniform(1.3, 1.8, size=d)
+            # exact duplicates and a dominated copy of each of the first points
+            pts = np.vstack([pts, pts[:3], pts[:3] + 0.25])
+            pts = pts[rng.permutation(len(pts))]
+            assert hypervolume(pts, ref) == np_hv(np_reduce(pts), ref)
+            acc = IncrementalHypervolume(ref)
+            assert [acc.add(p) for p in pts] == np_incremental_values(pts, ref)
 
 
 # ----- incremental hypervolume -----

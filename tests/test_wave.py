@@ -1,4 +1,3 @@
-import subprocess
 import sys
 
 import numpy as np
@@ -9,6 +8,7 @@ from bwopt.wave import (
     BoundaryConditions,
     FileExchangeWaveModel,
     ObstacleSet,
+    STDERR_TAIL_CHARS,
     ShadowDiffusionModel,
     read_field,
     sample,
@@ -335,12 +335,22 @@ def test_file_exchange_model_rejects_wrong_shape(tmp_path):
 
 
 def test_file_exchange_model_propagates_command_failure(tmp_path):
-    script = tmp_path / "model.py"
-    script.write_text("raise SystemExit(3)\n")
+    command = [sys.executable, "-c", "import sys; sys.stderr.write('boom'); sys.exit(3)"]
     grid = ScenarioGrid.from_depth(np.full((3, 3), 5.0), 25.0)
-    model = FileExchangeWaveModel([sys.executable, str(script)], tmp_path / "work")
-    with pytest.raises(subprocess.CalledProcessError):
+    model = FileExchangeWaveModel(command, tmp_path / "work")
+    with pytest.raises(RuntimeError, match=r"exited with status 3; stderr tail: 'boom'"):
         model.simulate(grid, ObstacleSet(), south_boundary())
+
+
+def test_file_exchange_model_quotes_only_the_stderr_tail(tmp_path):
+    command = [sys.executable, "-c", "import sys; sys.stderr.write('x' * 5000 + 'END'); sys.exit(1)"]
+    grid = ScenarioGrid.from_depth(np.full((3, 3), 5.0), 25.0)
+    model = FileExchangeWaveModel(command, tmp_path / "work")
+    with pytest.raises(RuntimeError) as info:
+        model.simulate(grid, ObstacleSet(), south_boundary())
+    message = str(info.value)
+    assert message.endswith(repr("x" * (STDERR_TAIL_CHARS - 3) + "END"))
+    assert "x" * (STDERR_TAIL_CHARS - 2) not in message
 
 
 def test_shadow_diffusion_model_wraps_simulate():
