@@ -42,6 +42,7 @@ from .wave import (
     BoundaryConditions,
     ObstacleSet,
     ShadowDiffusionModel,
+    sample,
 )
 
 ATTACHMENT_ANCHOR_TOLERANCE = 1.5  # cells
@@ -127,8 +128,6 @@ class Scenario:
             rasterize(existing_layout, self.grid, self.transmission)
         )
         base_field = self.wave_model.simulate(self.grid, self.existing_obstacles, self.boundary)
-        from .wave import sample  # local import keeps module load order simple
-
         heights = sample(base_field, self.control_points)
         nav = (
             min_polyline_distance(self.existing_polylines, [self.fairway], self.nav_sampling_step)

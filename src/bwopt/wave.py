@@ -8,6 +8,12 @@ physical solver. It runs in two stages:
    wave travel direction until it leaves the grid. The cell height is the
    incident height times the product of the transmission coefficients of
    every obstacle cell the ray crosses. Land blocks waves completely.
+   All rays are parallel, so the cells whose ray crosses land (the land
+   shadow) depend only on the land mask and the direction; they are found
+   once per grid and direction and cached. Every other cell only multiplies
+   the coefficients of the obstacle cells on its ray, in path order: the
+   skipped factors are exactly 1.0, so the result is bit-identical to
+   multiplying along every ray cell by cell.
 2. Diffusion: a fixed number of 3x3 neighbor-averaging passes restricted to
    water cells, which smears shadow edges.
 
@@ -20,6 +26,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +78,12 @@ class ObstacleSet:
         self.cells[cell] = coeff if prev is None else min(prev, coeff)
 
     def merged_with(self, other: "ObstacleSet") -> "ObstacleSet":
-        out = ObstacleSet(dict(self.cells))
+        # both sides hold clamped coefficients already, so no cell is re-validated
+        out = ObstacleSet()
+        cells = out.cells = dict(self.cells)
         for cell, coeff in other.cells.items():
-            out.add(cell, coeff)
+            prev = cells.get(cell)
+            cells[cell] = coeff if prev is None else min(prev, coeff)
         return out
 
     def __len__(self) -> int:
@@ -81,16 +91,38 @@ class ObstacleSet:
 
 
 @lru_cache(maxsize=32)
-def _ray_offsets(wave_direction: float, n_cols: int, n_rows: int) -> tuple[tuple[int, int], ...]:
+def _ray_offsets(wave_direction: float, n_cols: int, n_rows: int) -> np.ndarray:
     """Supercover cell offsets of the upwave ray from a cell center, in path order.
 
     All rays are parallel, so one offset template traced from the origin
-    serves every cell; out-of-grid offsets are skipped during the sweep.
+    serves every cell; out-of-grid offsets are skipped. Returns a read-only
+    (K, 2) int array of (dx, dy) rows; row 0 is the cell itself.
     """
     theta = math.radians(wave_direction)
     reach = math.hypot(n_cols, n_rows) + 2.0
     end = (-reach * math.cos(theta), -reach * math.sin(theta))
-    return tuple(supercover_line((0.0, 0.0), end))
+    offsets = np.array(supercover_line((0.0, 0.0), end), dtype=np.intp)
+    offsets.flags.writeable = False
+    return offsets
+
+
+@lru_cache(maxsize=32)
+def _land_shadow(wave_direction: float, shape: tuple[int, int], land_bytes: bytes) -> np.ndarray:
+    """Read-only mask of the cells whose upwave ray crosses land (land included).
+
+    Keyed by value, so two grids with the same shape and a different land
+    mask never share an entry. Runs once per grid and wave direction.
+    """
+    rows, cols = shape
+    land = np.frombuffer(land_bytes, dtype=bool).reshape(shape)
+    shadow = np.zeros(shape, dtype=bool)
+    for ox, oy in _ray_offsets(wave_direction, cols, rows):
+        r0, r1 = max(0, -oy), min(rows, rows - oy)
+        c0, c1 = max(0, -ox), min(cols, cols - ox)
+        if r0 < r1 and c0 < c1:
+            shadow[r0:r1, c0:c1] |= land[r0 + oy : r1 + oy, c0 + ox : c1 + ox]
+    shadow.flags.writeable = False
+    return shadow
 
 
 def simulate(
@@ -100,6 +132,14 @@ def simulate(
     diffusion_passes: int = DEFAULT_DIFFUSION_PASSES,
 ) -> np.ndarray:
     """Simulate the wave height field on the grid.
+
+    Every cell starts at 1.0 and multiplies in the coefficient of each
+    in-grid obstacle cell on its ray, in path order; the cells skipped have
+    coefficient 1.0, and multiplying by 1.0 is exact, so each product is
+    bit-identical to the cell-by-cell product along the whole ray. A ray
+    that crosses land gives 0.0 whatever else it crosses, so the cached land
+    shadow then sets those cells to 0.0, whatever obstacles (land ones
+    included) they multiplied in.
 
     Args:
         grid: bathymetry grid; land cells block waves entirely.
@@ -112,52 +152,81 @@ def simulate(
         within [0, incident_height].
     """
     rows, cols = grid.n_rows, grid.n_cols
-    coeff = np.ones((rows, cols))
-    for (col, row), c in obstacles.cells.items():
-        if 0 <= col < cols and 0 <= row < rows:
-            coeff[row, col] = min(coeff[row, col], c)
-    coeff[grid.land_mask] = 0.0
+    land = grid.land_mask
+    direction = boundary.wave_direction
+    shadow = _land_shadow(direction, land.shape, land.tobytes())
 
-    # One multiply per template offset keeps the per-cell product in exact
-    # path order, identical to tracing each ray on its own.
-    factor = np.ones((rows, cols))
-    for ox, oy in _ray_offsets(boundary.wave_direction, cols, rows):
-        r0, r1 = max(0, -oy), min(rows, rows - oy)
-        c0, c1 = max(0, -ox), min(cols, cols - ox)
-        if r0 >= r1 or c0 >= c1:
-            continue
-        factor[r0:r1, c0:c1] *= coeff[r0 + oy : r1 + oy, c0 + ox : c1 + ox]
+    n_cells = rows * cols
+    factor = np.ones(n_cells)
+    if obstacles.cells:
+        n = len(obstacles.cells)
+        cells = np.fromiter(chain.from_iterable(obstacles.cells), dtype=np.intp, count=2 * n)
+        col, row = cells[0::2], cells[1::2]
+        coeffs = np.fromiter(obstacles.cells.values(), dtype=float, count=n)
+        keep = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
+        col, row, coeffs = col[keep], row[keep], coeffs[keep]
+        # (offset, obstacle) pairs, k-major: the downwave cell of obstacle j
+        # at offset k is [k, j]; in that order every cell multiplies in its
+        # obstacle coefficients in ray-path order
+        offsets = _ray_offsets(direction, cols, rows)
+        target_col = col - offsets[:, :1]
+        target = (row * cols + col) - (offsets[:, 1:] * cols + offsets[:, :1])
+        hit = (target_col >= 0) & (target_col < cols) & (target >= 0) & (target < n_cells)
+        np.multiply.at(factor, target[hit], np.broadcast_to(coeffs, hit.shape)[hit])
+    factor = factor.reshape(rows, cols)
+    factor[shadow] = 0.0
 
     field = boundary.incident_height * factor
-    field[grid.land_mask] = 0.0
     if diffusion_passes > 0:
-        field = _diffuse(field, ~grid.land_mask, diffusion_passes)
+        field = _diffuse(field, ~land, diffusion_passes)
     return field
+
+
+@lru_cache(maxsize=32)
+def _neighbor_masks(shape: tuple[int, int], water_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Per-shift float masks of in-grid water neighbors, and 1 + their sum."""
+    rows, cols = shape
+    water = np.frombuffer(water_bytes, dtype=bool).reshape(shape)
+    padded = np.zeros((rows + 2, cols + 2))
+    padded[1:-1, 1:-1] = water
+    masks = np.stack([padded[1 + dy : 1 + dy + rows, 1 + dx : 1 + dx + cols] for dy, dx in _NEIGHBOR_SHIFTS])
+    count = np.ones(shape)  # the cell itself; land cells never read it
+    for mask in masks:
+        count += mask
+    masks.flags.writeable = False
+    count.flags.writeable = False
+    return masks, count
 
 
 def _diffuse(field: np.ndarray, water: np.ndarray, passes: int) -> np.ndarray:
     """Neighbor-averaging passes over water cells.
 
     Written in update form (cell + mean neighbor difference) so a constant
-    field passes through bit-exactly.
+    field passes through bit-exactly. Each pass reads the neighbors from a
+    zero-padded copy and multiplies every difference by a float mask that
+    is 0.0 for land and off-grid neighbors. A masked term is +-0.0, and
+    adding it to the accumulator, which starts at +0.0, leaves it
+    unchanged, so the sum is bit-identical to adding only the water
+    neighbors' differences.
     """
     rows, cols = field.shape
-    count = np.ones_like(field)  # the cell itself; land cells never read it
-    for dy, dx in _NEIGHBOR_SHIFTS:
-        r0, r1 = max(0, -dy), min(rows, rows - dy)
-        c0, c1 = max(0, -dx), min(cols, cols - dx)
-        count[r0:r1, c0:c1] += water[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
-    out = field
+    masks, count = _neighbor_masks(field.shape, water.tobytes())
+    land = ~water
+    padded = np.zeros((rows + 2, cols + 2))
+    out = padded[1:-1, 1:-1]
+    out[...] = field
+    delta = np.empty_like(field)
+    term = np.empty_like(field)
     for _ in range(passes):
-        delta = np.zeros_like(out)
-        for dy, dx in _NEIGHBOR_SHIFTS:
-            r0, r1 = max(0, -dy), min(rows, rows - dy)
-            c0, c1 = max(0, -dx), min(cols, cols - dx)
-            nb_water = water[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
-            diff = out[r0 + dy : r1 + dy, c0 + dx : c1 + dx] - out[r0:r1, c0:c1]
-            delta[r0:r1, c0:c1] += np.where(nb_water, diff, 0.0)
-        out = np.where(water, out + delta / count, 0.0)
-    return out
+        delta.fill(0.0)
+        for (dy, dx), mask in zip(_NEIGHBOR_SHIFTS, masks):
+            np.subtract(padded[1 + dy : 1 + dy + rows, 1 + dx : 1 + dx + cols], out, out=term)
+            term *= mask
+            delta += term
+        delta /= count
+        out += delta
+        out[land] = 0.0
+    return out.copy()
 
 
 def sample(field: np.ndarray, points) -> np.ndarray:

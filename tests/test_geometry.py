@@ -246,6 +246,45 @@ def test_min_distance_symmetric_in_point_sets():
     assert min_polyline_distance(a, b, 0.25) == pytest.approx(min_polyline_distance(b, a, 0.25))
 
 
+def dense_min_polyline_distance(polylines_a, polylines_b, step):
+    """The earlier kernel, kept as the reference: one (na, nb, 2) temporary."""
+    a = np.concatenate([sample_polyline(v, step) for v in polylines_a])
+    b = np.concatenate([sample_polyline(v, step) for v in polylines_b])
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    return float(math.sqrt(d2.min()))
+
+
+def random_polyline(rng):
+    verts = rng.uniform(-20.0, 20.0, size=(int(rng.integers(2, 6)), 2))
+    if rng.random() < 0.5:
+        verts = np.round(verts)  # integer vertices: ties and exact-zero gaps
+    for i in range(1, len(verts)):
+        if rng.random() < 0.3:
+            verts[i] = verts[i - 1]  # zero-length segment
+    return verts
+
+
+def test_min_polyline_distance_is_bit_identical_to_dense_kernel():
+    rng = np.random.default_rng(77)
+    # first a fully degenerate family: every segment has zero length
+    cases = [
+        (
+            [np.array([[1.5, 2.0], [1.5, 2.0], [1.5, 2.0]])],
+            [np.array([[4.5, 6.0], [4.5, 6.0]]), np.array([[-2.0, 2.0], [-2.0, 2.0]])],
+            0.25,
+        )
+    ]
+    for _ in range(300):
+        a = [random_polyline(rng) for _ in range(int(rng.integers(1, 4)))]
+        b = [random_polyline(rng) for _ in range(int(rng.integers(1, 3)))]
+        cases.append((a, b, float(rng.choice([0.1, 0.25, 0.7, 3.0]))))
+    for a, b, step in cases:
+        got = min_polyline_distance(a, b, step)
+        assert type(got) is float
+        assert got.hex() == dense_min_polyline_distance(a, b, step).hex()
+    assert min_polyline_distance(*cases[0]) == 3.5
+
+
 def test_degenerate_layout_distance_uses_attachment_point():
     layout = mk_layout([[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])
     fairway = np.array([[3.0, 0.0], [3.0, 2.0]])

@@ -1,9 +1,10 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from bwopt.geometry import LAND, ScenarioGrid
+from bwopt.geometry import LAND, ScenarioGrid, supercover_line
 from bwopt.wave import (
     BoundaryConditions,
     FileExchangeWaveModel,
@@ -195,6 +196,135 @@ def test_diffusion_smears_but_preserves_constants():
     jump_sharp = sharp[wall_row + 1, 5] - sharp[wall_row - 1, 5]
     jump_smooth = smooth[wall_row + 1, 5] - smooth[wall_row - 1, 5]
     assert abs(jump_smooth) < abs(jump_sharp)
+
+
+# ----- bit-exact oracle: the dense per-offset kernel -----
+# dense_simulate and dense_diffuse are the earlier kernel kept verbatim as the
+# reference: one whole-grid multiply per ray offset, np.where per shift. The
+# sparse kernel must reproduce every byte of their output.
+
+NEIGHBOR_SHIFTS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+
+
+def dense_ray_offsets(wave_direction, n_cols, n_rows):
+    theta = math.radians(wave_direction)
+    reach = math.hypot(n_cols, n_rows) + 2.0
+    end = (-reach * math.cos(theta), -reach * math.sin(theta))
+    return tuple(supercover_line((0.0, 0.0), end))
+
+
+def dense_simulate(grid, obstacles, boundary, diffusion_passes):
+    rows, cols = grid.n_rows, grid.n_cols
+    coeff = np.ones((rows, cols))
+    for (col, row), c in obstacles.cells.items():
+        if 0 <= col < cols and 0 <= row < rows:
+            coeff[row, col] = min(coeff[row, col], c)
+    coeff[grid.land_mask] = 0.0
+    factor = np.ones((rows, cols))
+    for ox, oy in dense_ray_offsets(boundary.wave_direction, cols, rows):
+        r0, r1 = max(0, -oy), min(rows, rows - oy)
+        c0, c1 = max(0, -ox), min(cols, cols - ox)
+        if r0 >= r1 or c0 >= c1:
+            continue
+        factor[r0:r1, c0:c1] *= coeff[r0 + oy : r1 + oy, c0 + ox : c1 + ox]
+    field = boundary.incident_height * factor
+    field[grid.land_mask] = 0.0
+    if diffusion_passes > 0:
+        field = dense_diffuse(field, ~grid.land_mask, diffusion_passes)
+    return field
+
+
+def dense_diffuse(field, water, passes):
+    rows, cols = field.shape
+    count = np.ones_like(field)
+    for dy, dx in NEIGHBOR_SHIFTS:
+        r0, r1 = max(0, -dy), min(rows, rows - dy)
+        c0, c1 = max(0, -dx), min(cols, cols - dx)
+        count[r0:r1, c0:c1] += water[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
+    out = field
+    for _ in range(passes):
+        delta = np.zeros_like(out)
+        for dy, dx in NEIGHBOR_SHIFTS:
+            r0, r1 = max(0, -dy), min(rows, rows - dy)
+            c0, c1 = max(0, -dx), min(cols, cols - dx)
+            nb_water = water[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
+            diff = out[r0 + dy : r1 + dy, c0 + dx : c1 + dx] - out[r0:r1, c0:c1]
+            delta[r0:r1, c0:c1] += np.where(nb_water, diff, 0.0)
+        out = np.where(water, out + delta / count, 0.0)
+    return out
+
+
+def random_grid(rng, n_cols, n_rows):
+    depth = rng.uniform(1.0, 20.0, size=(n_rows, n_cols))
+    depth[rng.random((n_rows, n_cols)) < rng.uniform(0.0, 0.3)] = LAND
+    return ScenarioGrid.from_depth(depth, 25.0)
+
+
+def random_obstacles(rng, grid):
+    """Obstacle cells on water and on land, some outside the grid, some at 0.0 or 1.0."""
+    cells = {}
+    for _ in range(int(rng.integers(0, 40))):
+        cell = (int(rng.integers(-3, grid.n_cols + 3)), int(rng.integers(-3, grid.n_rows + 3)))
+        u = rng.random()
+        cells[cell] = 0.0 if u < 0.1 else 1.0 if u < 0.2 else float(rng.uniform(0.05, 0.95))
+    return ObstacleSet(cells)
+
+
+ORACLE_DIRECTIONS = (0.0, 45.0, 90.0, 105.0, 135.0, 200.0, 315.0)
+
+
+def test_simulate_is_bit_identical_to_dense_kernel():
+    rng = np.random.default_rng(2024)
+    directions = ORACLE_DIRECTIONS + (float(rng.uniform(-180.0, 180.0)),)
+    cases = 0
+    for trial in range(6):
+        grid = random_grid(rng, int(rng.integers(5, 25)), int(rng.integers(5, 20)))
+        obstacle_sets = [ObstacleSet(), random_obstacles(rng, grid), random_obstacles(rng, grid)]
+        for direction in directions:
+            boundary = BoundaryConditions(float(rng.uniform(0.5, 3.0)), direction)
+            for obstacles in obstacle_sets:
+                passes = int(rng.integers(0, 4))
+                got = simulate(grid, obstacles, boundary, diffusion_passes=passes)
+                want = dense_simulate(grid, obstacles, boundary, passes)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (trial, direction, passes)
+                cases += 1
+    assert cases == 6 * len(directions) * 3
+
+
+def test_simulate_matches_dense_kernel_on_long_obstacle_chains():
+    # rays that cross many obstacle cells make the product order matter
+    rng = np.random.default_rng(5)
+    depth = np.full((30, 40), 8.0)
+    depth[rng.random((30, 40)) < 0.03] = LAND
+    grid = ScenarioGrid.from_depth(depth, 25.0)
+    cells = {}
+    for _ in range(150):
+        cells[(int(rng.integers(0, 40)), int(rng.integers(0, 30)))] = float(rng.uniform(0.05, 0.95))
+    obstacles = ObstacleSet(cells)
+    for direction in ORACLE_DIRECTIONS:
+        boundary = BoundaryConditions(H0, direction)
+        for passes in range(4):
+            got = simulate(grid, obstacles, boundary, diffusion_passes=passes)
+            want = dense_simulate(grid, obstacles, boundary, passes)
+            assert got.tobytes() == want.tobytes(), (direction, passes)
+
+
+def test_land_shadow_cache_never_serves_a_stale_shadow():
+    # same shape, different land: a cache keyed by shape or object identity
+    # would hand one grid's shadow to the other
+    rng = np.random.default_rng(31)
+    grids = [random_grid(rng, 16, 12) for _ in range(2)]
+    assert grids[0].land_mask.shape == grids[1].land_mask.shape
+    assert not np.array_equal(grids[0].land_mask, grids[1].land_mask)
+    obstacles = random_obstacles(rng, grids[0])
+    boundaries = [BoundaryConditions(H0, 60.0), BoundaryConditions(H0, 250.0)]
+    for _ in range(3):
+        for grid in grids:
+            for boundary in boundaries:
+                got = simulate(grid, obstacles, boundary, diffusion_passes=2)
+                want = dense_simulate(grid, obstacles, boundary, 2)
+                assert got.tobytes() == want.tobytes()
 
 
 # ----- obstacle set semantics -----
