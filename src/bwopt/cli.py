@@ -27,7 +27,7 @@ from .experiment import (
     run_experiment,
     write_json,
 )
-from .geometry import Encoding, Genotype, decode
+from .geometry import Encoding, Genotype, decode, rasterize
 from .metrics import hypervolume, reference_point
 from .objectives import simulate_layout
 from .scenario import ScenarioError
@@ -245,7 +245,7 @@ def _export_field(args: argparse.Namespace) -> int:
         member = members[args.member]
         genotype = Genotype(Encoding(member["encoding"]), np.array(member["genes"], dtype=float))
         layout = decode(genotype, scenario.attachments)
-        field = simulate_layout(layout, scenario)
+        field = simulate_layout(rasterize(layout, scenario.grid, scenario.transmission), scenario)
         new_polylines = layout.breakwaters
         label = f"member {args.member} of {args.front}"
     else:

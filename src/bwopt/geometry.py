@@ -5,6 +5,12 @@ and measured in cell units, x runs along columns, y along rows. Integer
 coordinates are cell centers, so cell (i, j) covers the half-open square
 [i - 0.5, i + 0.5) x [j - 0.5, j + 0.5). Angles are degrees, counterclockwise
 from the +x axis.
+
+Per-segment loops (crossings, rasterization, lengths) run on plain-float
+segments from `polyline_segments`: `.tolist()` yields the arrays' own IEEE
+doubles, and Python floats round +, - and * exactly as NumPy float64 scalars
+do, so every count, cell and length is bit-identical to a loop over NumPy
+rows, at a fraction of the cost.
 """
 from __future__ import annotations
 
@@ -145,16 +151,25 @@ class Layout:
     breakwaters: list[np.ndarray]  # each (k_i + 1, 2), first vertex = attachment
     materials: list[Material]
 
-    def segments(self):
-        """Yield non-degenerate (p, q) vertex pairs over all breakwaters."""
-        for verts in self.breakwaters:
-            for p, q in zip(verts[:-1], verts[1:]):
-                if p[0] != q[0] or p[1] != q[1]:
-                    yield p, q
+    def segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+        """Non-degenerate segments over all breakwaters, as plain floats."""
+        return polyline_segments(self.breakwaters)
 
     def total_length(self) -> float:
         """Total polyline length in cell units."""
         return float(sum(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in self.segments()))
+
+
+def polyline_segments(polylines) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """Non-degenerate ((x0, y0), (x1, y1)) plain-float segments of the polylines, in order.
+
+    Zero-length segments are dropped: they cross nothing and cover no cell.
+    """
+    out = []
+    for verts in polylines:
+        points = [tuple(v) for v in np.asarray(verts, dtype=float).tolist()]
+        out.extend((p, q) for p, q in zip(points[:-1], points[1:]) if p != q)
+    return out
 
 
 def total_blocks(attachments: list[Attachment]) -> int:
@@ -244,34 +259,20 @@ def segments_cross(p1, p2, q1, q2) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
-def count_self_intersections(layout: Layout, existing: list[np.ndarray] | None = None) -> int:
-    """Transversal crossings among new segments and against existing structures.
+def count_crossings(segments, others=None) -> int:
+    """Transversal crossings between two segment lists, or within one.
 
-    Segments of one chain share vertices with their neighbours; those shared
-    endpoints are touches, not crossings, and are not counted.
+    With others, every (segment, other) pair is tested; without, every pair
+    of distinct segments once. Shared chain vertices are touches, not
+    crossings.
     """
-    new_segments = list(layout.segments())
-    count = 0
-    for i in range(len(new_segments)):
-        for j in range(i + 1, len(new_segments)):
-            if segments_cross(*new_segments[i], *new_segments[j]):
-                count += 1
-    for verts in existing or []:
-        for a, b in zip(verts[:-1], verts[1:]):
-            for p, q in new_segments:
-                if segments_cross(p, q, a, b):
-                    count += 1
-    return count
-
-
-def count_fairway_intersections(layout: Layout, fairway: np.ndarray) -> int:
-    """Transversal crossings between new segments and the fairway polyline."""
-    count = 0
-    for a, b in zip(fairway[:-1], fairway[1:]):
-        for p, q in layout.segments():
-            if segments_cross(p, q, a, b):
-                count += 1
-    return count
+    if others is None:
+        return sum(
+            segments_cross(*segments[i], *segments[j])
+            for i in range(len(segments))
+            for j in range(i + 1, len(segments))
+        )
+    return sum(segments_cross(*s, *o) for s in segments for o in others)
 
 
 # ----- rasterization ------------------------------------------------------
@@ -320,16 +321,6 @@ def supercover_line(p0, p1) -> list[tuple[int, int]]:
     return cells
 
 
-def layout_cells(layout: Layout, grid: ScenarioGrid) -> list[tuple[int, int]]:
-    """Distinct in-grid cells covered by the layout, in traversal order."""
-    seen: dict[tuple[int, int], None] = {}
-    for p, q in layout.segments():
-        for col, row in supercover_line(p, q):
-            if 0 <= col < grid.n_cols and 0 <= row < grid.n_rows:
-                seen.setdefault((col, row), None)
-    return list(seen)
-
-
 def rasterize(
     layout: Layout,
     grid: ScenarioGrid,
@@ -338,24 +329,18 @@ def rasterize(
     """Obstacle cells for the wave model: ((col, row), transmission coefficient).
 
     Cells covered by more than one structure keep the smallest (most
-    blocking) coefficient. Cells outside the grid are dropped.
+    blocking) coefficient. Cells outside the grid are dropped. The distinct
+    cells double as the layout's footprint for the land-coverage constraint.
     """
     out: dict[tuple[int, int], float] = {}
     for verts, mat in zip(layout.breakwaters, layout.materials):
         coeff = float(transmission[mat])
-        for p, q in zip(verts[:-1], verts[1:]):
-            if p[0] == q[0] and p[1] == q[1]:
-                continue
+        for p, q in polyline_segments([verts]):
             for col, row in supercover_line(p, q):
                 if 0 <= col < grid.n_cols and 0 <= row < grid.n_rows:
                     prev = out.get((col, row))
                     out[(col, row)] = coeff if prev is None else min(prev, coeff)
     return list(out.items())
-
-
-def count_land_coverage(layout: Layout, grid: ScenarioGrid) -> int:
-    """Number of distinct rasterized layout cells that fall on land."""
-    return sum(1 for col, row in layout_cells(layout, grid) if grid.land_mask[row, col])
 
 
 # ----- distances ----------------------------------------------------------

@@ -18,11 +18,10 @@ import numpy as np
 from .geometry import (
     Genotype,
     Layout,
-    count_fairway_intersections,
-    count_land_coverage,
-    count_self_intersections,
+    count_crossings,
     decode,
     min_distance_to_fairway,
+    polyline_segments,
     rasterize,
 )
 from .wave import ObstacleSet, sample
@@ -88,19 +87,22 @@ def cost(layout: Layout, cell_size: float) -> float:
     return layout.total_length() * cell_size
 
 
-def simulate_layout(layout: Layout, scenario) -> np.ndarray:
-    """Wave field with the existing structures plus the given layout."""
-    added = ObstacleSet.from_pairs(rasterize(layout, scenario.grid, scenario.transmission))
+def simulate_layout(cells, scenario) -> np.ndarray:
+    """Wave field with the existing structures plus the given rasterized cells."""
+    added = ObstacleSet.from_pairs(cells)
     return scenario.wave_model.simulate(
         scenario.grid, scenario.existing_obstacles.merged_with(added), scenario.boundary
     )
 
 
-def _layout_constraints(layout: Layout, scenario) -> tuple[int, int, int]:
+def _layout_constraints(layout: Layout, cells, scenario) -> tuple[int, int, int]:
+    """(Self and existing-structure crossings, fairway crossings, cells of `cells` on land)."""
+    segments = layout.segments()
     return (
-        count_self_intersections(layout, scenario.existing_polylines),
-        count_fairway_intersections(layout, scenario.fairway),
-        count_land_coverage(layout, scenario.grid),
+        count_crossings(segments)
+        + count_crossings(segments, polyline_segments(scenario.existing_polylines)),
+        count_crossings(segments, polyline_segments([scenario.fairway])),
+        sum(1 for (col, row), _ in cells if scenario.grid.land_mask[row, col]),
     )
 
 
@@ -110,23 +112,28 @@ def constraint_counts(genotype: Genotype, scenario) -> tuple[int, int, int]:
     Returns (self intersections, fairway intersections, land cells covered);
     all zero means the candidate is feasible.
     """
-    return _layout_constraints(decode(genotype, scenario.attachments), scenario)
+    layout = decode(genotype, scenario.attachments)
+    cells = rasterize(layout, scenario.grid, scenario.transmission)
+    return _layout_constraints(layout, cells, scenario)
 
 
 def evaluate(genotype: Genotype, scenario) -> ObjectiveVector:
     """Evaluate one candidate against a scenario.
 
+    The layout is rasterized once; the same cells give the land-coverage
+    count and, for a feasible candidate, the obstacles of the wave model.
     Constraint-violating candidates skip the wave simulation and inherit the
     baseline wave heights; cost and clearance are still their own, so the
     violation shows up as cost without protection benefit.
     """
     layout = decode(genotype, scenario.attachments)
-    self_x, fairway_x, land = _layout_constraints(layout, scenario)
+    cells = rasterize(layout, scenario.grid, scenario.transmission)
+    self_x, fairway_x, land = _layout_constraints(layout, cells, scenario)
     nav = min_distance_to_fairway(
         layout, scenario.fairway, scenario.grid.cell_size, scenario.nav_sampling_step
     )
     if self_x + fairway_x + land == 0:
-        field = simulate_layout(layout, scenario)
+        field = simulate_layout(cells, scenario)
         heights = sample(field, scenario.control_points)
     else:
         heights = scenario.baseline.wave_heights.copy()

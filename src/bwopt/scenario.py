@@ -23,8 +23,10 @@ from .geometry import (
     Layout,
     Material,
     ScenarioGrid,
-    min_polyline_distance,
+    count_crossings,
+    min_distance_to_fairway,
     point_polyline_distance,
+    polyline_segments,
     rasterize,
     total_blocks,
 )
@@ -32,6 +34,7 @@ from .objectives import (
     Baseline,
     ObjectiveVector,
     RelativeObjectiveVector,
+    cost,
     evaluate,
     relativize,
     single_objective,
@@ -128,14 +131,13 @@ class Scenario:
             rasterize(existing_layout, self.grid, self.transmission)
         )
         base_field = self.wave_model.simulate(self.grid, self.existing_obstacles, self.boundary)
-        heights = sample(base_field, self.control_points)
-        nav = (
-            min_polyline_distance(self.existing_polylines, [self.fairway], self.nav_sampling_step)
-            * self.grid.cell_size
-        )
-        cost_ref = existing_layout.total_length() * self.grid.cell_size
         self.baseline = Baseline(
-            wave_heights=heights, nav_distance=nav, cost_ref=cost_ref, field=base_field
+            wave_heights=sample(base_field, self.control_points),
+            nav_distance=min_distance_to_fairway(
+                existing_layout, self.fairway, self.grid.cell_size, self.nav_sampling_step
+            ),
+            cost_ref=cost(existing_layout, self.grid.cell_size),
+            field=base_field,
         )
         problems = self._baseline_violations()
         if problems:
@@ -184,6 +186,10 @@ class Scenario:
             out.append("fairway needs at least 2 vertices")
         elif not np.any(np.ptp(self.fairway, axis=0) > 0):
             out.append("fairway has zero length")
+        else:
+            for i, (verts, _) in enumerate(self.existing_structures):
+                if count_crossings(polyline_segments([verts]), polyline_segments([self.fairway])):
+                    out.append(f"existing structure {i} crosses the fairway, so its clearance is zero")
         if not self.init.max_length > 0:
             out.append("initialization max_length must be positive")
         if not self.init.angle_low < self.init.angle_high:

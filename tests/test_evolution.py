@@ -532,6 +532,7 @@ class CostOnlyScenario:
     def __init__(self, inner):
         self.attachments = inner.attachments
         self.grid = inner.grid
+        self.transmission = inner.transmission
         self.fairway = inner.fairway
         self.existing_polylines = inner.existing_polylines
         self.init = inner.init

@@ -15,12 +15,12 @@ from bwopt.geometry import (
     Material,
     ScenarioGrid,
     convert,
-    count_fairway_intersections,
-    count_self_intersections,
+    count_crossings,
     decode,
     min_distance_to_fairway,
     min_polyline_distance,
     normalize_angle,
+    polyline_segments,
     rasterize,
     sample_polyline,
     segments_cross,
@@ -198,19 +198,26 @@ def test_self_intersections_match_all_pairs_oracle(flat):
         for i in range(len(segs))
         for j in range(i + 1, len(segs))
     )
-    assert count_self_intersections(layout, []) == oracle
+    assert count_crossings(layout.segments()) == oracle
 
 
 def test_self_intersections_against_existing():
     bow = mk_layout([[0.0, 0.0], [4.0, 4.0]])
     existing = [np.array([[0.0, 4.0], [4.0, 0.0]])]
-    assert count_self_intersections(bow, existing) == 1
+    assert count_crossings(bow.segments(), polyline_segments(existing)) == 1
 
 
 def test_fairway_intersections():
-    layout = mk_layout([[0.0, 1.0], [4.0, 1.0]])
-    assert count_fairway_intersections(layout, np.array([[2.0, 0.0], [2.0, 2.0]])) == 1
-    assert count_fairway_intersections(layout, np.array([[5.0, 0.0], [5.0, 2.0]])) == 0
+    segments = mk_layout([[0.0, 1.0], [4.0, 1.0]]).segments()
+    assert count_crossings(segments, polyline_segments([np.array([[2.0, 0.0], [2.0, 2.0]])])) == 1
+    assert count_crossings(segments, polyline_segments([np.array([[5.0, 0.0], [5.0, 2.0]])])) == 0
+
+
+def test_polyline_segments_are_plain_floats_without_zero_length():
+    verts = np.array([[1.0, 2.0], [1.0, 2.0], [3.5, -0.0], [3.5, 0.0], [4.0, 1.0]])
+    segments = polyline_segments([verts, np.array([[7.0, 7.0]])])
+    assert segments == [((1.0, 2.0), (3.5, -0.0)), ((3.5, 0.0), (4.0, 1.0))]
+    assert all(type(c) is float for s in segments for point in s for c in point)
 
 
 # ----- distances -----

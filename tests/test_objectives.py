@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from bwopt.geometry import Encoding, Genotype, Layout, Material
+from bwopt.geometry import (
+    Encoding,
+    Genotype,
+    Layout,
+    Material,
+    decode,
+    rasterize,
+    segments_cross,
+    supercover_line,
+)
 from bwopt.objectives import (
     Baseline,
     EvaluationWarning,
@@ -187,6 +198,110 @@ def test_constraint_counts_match_evaluate(unit_scenario):
             raw.fairway_intersections,
             raw.land_coverage,
         )
+
+
+# ----- constraint counts against the NumPy-row reference -----
+# The counters below are the pre-refactor implementations, kept as the
+# reference: they walk NumPy vertex rows pair by pair and run their own
+# supercover traversal for land coverage, where the package now counts on
+# plain-float segments and reads land coverage off the rasterized cells.
+
+def numpy_row_segments(layout):
+    for verts in layout.breakwaters:
+        for p, q in zip(verts[:-1], verts[1:]):
+            if p[0] != q[0] or p[1] != q[1]:
+                yield p, q
+
+
+def oracle_self_intersections(layout, existing):
+    new_segments = list(numpy_row_segments(layout))
+    count = 0
+    for i in range(len(new_segments)):
+        for j in range(i + 1, len(new_segments)):
+            if segments_cross(*new_segments[i], *new_segments[j]):
+                count += 1
+    for verts in existing or []:
+        for a, b in zip(verts[:-1], verts[1:]):
+            for p, q in new_segments:
+                if segments_cross(p, q, a, b):
+                    count += 1
+    return count
+
+
+def oracle_fairway_intersections(layout, fairway):
+    count = 0
+    for a, b in zip(fairway[:-1], fairway[1:]):
+        for p, q in numpy_row_segments(layout):
+            if segments_cross(p, q, a, b):
+                count += 1
+    return count
+
+
+def oracle_layout_cells(layout, grid):
+    seen = {}
+    for p, q in numpy_row_segments(layout):
+        for col, row in supercover_line(p, q):
+            if 0 <= col < grid.n_cols and 0 <= row < grid.n_rows:
+                seen.setdefault((col, row), None)
+    return list(seen)
+
+
+def oracle_land_coverage(layout, grid):
+    return sum(1 for col, row in oracle_layout_cells(layout, grid) if grid.land_mask[row, col])
+
+
+def random_genotypes(scenario, rng, n):
+    """Angular and cartesian genotypes with zero-length blocks, reaching
+    off the grid and onto land; half the cartesian ones on integer vertices,
+    where segments touch and traversals pass exactly through cell corners."""
+    grid, blocks = scenario.grid, scenario.n_blocks
+    out = []
+    for k in range(n):
+        zero = rng.random(blocks) < 0.25
+        if k % 2 == 0:
+            genes = np.empty(2 * blocks)
+            genes[0::2] = np.where(zero, 0.0, rng.uniform(0.0, 3.0 * scenario.init.max_length, blocks))
+            genes[1::2] = rng.uniform(-180.0, 180.0, blocks)
+            out.append(Genotype(Encoding.ANGULAR, genes))
+            continue
+        low, high = (-5.0, -5.0), (grid.n_cols + 5.0, grid.n_rows + 5.0)
+        points = rng.uniform(low, high, size=(blocks, 2))
+        if k % 4 == 1:
+            points = np.round(points)
+        zero[0] = False
+        for i in np.flatnonzero(zero):
+            points[i] = points[i - 1]
+        out.append(Genotype(Encoding.CARTESIAN, points.ravel()))
+    return out
+
+
+def test_constraint_counts_match_numpy_row_oracle(harbor_scenario, unit_scenario):
+    rng = np.random.default_rng(6)
+    totals = np.zeros(3, dtype=int)
+    seen = set()
+    for scenario, n in ((harbor_scenario, 600), (unit_scenario, 200)):
+        grid = scenario.grid
+        for g in random_genotypes(scenario, rng, n):
+            layout = decode(g, scenario.attachments)
+            expected = (
+                oracle_self_intersections(layout, scenario.existing_polylines),
+                oracle_fairway_intersections(layout, scenario.fairway),
+                oracle_land_coverage(layout, grid),
+            )
+            assert constraint_counts(g, scenario) == expected
+            cells = [cell for cell, _ in rasterize(layout, grid, scenario.transmission)]
+            assert cells == oracle_layout_cells(layout, grid)
+            lengths = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in numpy_row_segments(layout)]
+            assert layout.total_length().hex() == float(sum(lengths)).hex()
+            totals += expected
+            verts = np.concatenate(layout.breakwaters)
+            if not all(grid.in_bounds(x, y) for x, y in verts):
+                seen.add("off grid")
+            if any(np.any(np.all(v[1:] == v[:-1], axis=1)) for v in layout.breakwaters):
+                seen.add("zero length")
+            seen.add(g.encoding)
+    assert seen == {"off grid", "zero length", Encoding.ANGULAR, Encoding.CARTESIAN}
+    assert np.all(totals > 0), totals
 
 
 def test_min_point_orders_objectives(unit_scenario):

@@ -125,6 +125,18 @@ def test_structure_crossing_fairway_fails_baseline():
     assert any("clearance" in v for v in exc.value.violations)
 
 
+def test_existing_structure_crossing_fairway_is_rejected(harbor_scenario):
+    # The crossing falls between clearance samples, so the sampled baseline
+    # clearance alone (1.70 m) would not catch it.
+    data = json.loads(json.dumps(harbor_scenario.source))
+    data["existing_structures"][1]["vertices"] = [[24.1, 19.6], [33, 21], [44, 25]]
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(data)
+    assert exc.value.violations == [
+        "existing structure 1 crosses the fairway, so its clearance is zero"
+    ]
+
+
 # ----- file loading -----
 
 def test_load_scenario_with_depth_file(tmp_path):
