@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -348,15 +349,47 @@ def rasterize(
 def sample_polyline(verts: np.ndarray, step: float) -> np.ndarray:
     """Points along a polyline at spacing <= step, endpoints included."""
     verts = np.asarray(verts, dtype=float)
-    points = [verts[0]]
+    parts = [verts[:1]]
     for p, q in zip(verts[:-1], verts[1:]):
         length = math.hypot(q[0] - p[0], q[1] - p[1])
         if length == 0.0:
             continue
         n = max(1, math.ceil(length / step))
         ts = np.arange(1, n + 1) / n
-        points.extend(p + ts[:, None] * (q - p))
-    return np.asarray(points)
+        parts.append(p + ts[:, None] * (q - p))
+    return np.concatenate(parts)
+
+
+@lru_cache(maxsize=32)
+def _fairway_samples(fairway_bytes: bytes, shape: tuple[int, ...], step: float) -> np.ndarray:
+    """Read-only sample_polyline of a fairway, keyed by value.
+
+    Two fairways of one shape but different vertices never share an entry,
+    and neither do two steps. Runs once per scenario and sampling step.
+    """
+    samples = sample_polyline(np.frombuffer(fairway_bytes).reshape(shape), step)
+    samples.flags.writeable = False
+    return samples
+
+
+def _sample_family(polylines: list[np.ndarray], step: float) -> np.ndarray:
+    return np.concatenate([sample_polyline(v, step) for v in polylines])
+
+
+def _min_sample_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest distance between two (n, 2) sample sets.
+
+    The squared distance of every sample pair is dx*dx + dy*dy, computed on
+    two (len(a), len(b)) planes in place; that is the same sum, in the same
+    order, as squaring the (len(a), len(b), 2) difference and summing over
+    its last axis, so the result is bit-identical to that form.
+    """
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return float(math.sqrt(d2.min()))
 
 
 def min_polyline_distance(
@@ -364,21 +397,8 @@ def min_polyline_distance(
     polylines_b: list[np.ndarray],
     step: float,
 ) -> float:
-    """Smallest distance between two polyline families, by dense sampling.
-
-    The squared distance of every sample pair is dx*dx + dy*dy, computed on
-    two (len(a), len(b)) planes in place; that is the same sum, in the same
-    order, as squaring the (len(a), len(b), 2) difference and summing over
-    its last axis, so the result is bit-identical to that form.
-    """
-    a = np.concatenate([sample_polyline(v, step) for v in polylines_a])
-    b = np.concatenate([sample_polyline(v, step) for v in polylines_b])
-    d2 = np.subtract.outer(a[:, 0], b[:, 0])
-    dy = np.subtract.outer(a[:, 1], b[:, 1])
-    d2 *= d2
-    dy *= dy
-    d2 += dy
-    return float(math.sqrt(d2.min()))
+    """Smallest distance between two polyline families, by dense sampling."""
+    return _min_sample_distance(_sample_family(polylines_a, step), _sample_family(polylines_b, step))
 
 
 def min_distance_to_fairway(
@@ -389,13 +409,14 @@ def min_distance_to_fairway(
 ) -> float:
     """Navigational clearance in meters between new structures and the fairway.
 
-    A fully degenerate layout still has its attachment vertices, so the
-    distance falls back to the attachment points.
+    The fairway's samples come from a cache, so a scenario samples its fixed
+    fairway once, not once per model run. A fully degenerate layout still
+    has its attachment vertices, so the distance falls back to the
+    attachment points.
     """
-    return (
-        min_polyline_distance(list(layout.breakwaters), [np.asarray(fairway, dtype=float)], sampling_step)
-        * cell_size
-    )
+    fairway = np.asarray(fairway, dtype=float)
+    samples = _fairway_samples(fairway.tobytes(), fairway.shape, sampling_step)
+    return _min_sample_distance(_sample_family(layout.breakwaters, sampling_step), samples) * cell_size
 
 
 def point_segment_distance(p, a, b) -> float:

@@ -22,7 +22,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from operator import ge, le, lt
+from operator import ge, itemgetter, le, lt, sub
 
 import numpy as np
 
@@ -65,10 +65,14 @@ def _reduce(pts: list[Point]) -> list[Point]:
     tie-break), the processing order the hypervolume recursion wants. A point
     is kept only when no earlier kept point is <= in every coordinate: a
     dominator always sorts earlier, and so does the first copy of a duplicate.
+    pts must be non-empty.
     """
     kept: list[Point] = []
-    for p in sorted(pts, key=lambda p: p[::-1]):
-        if not any(all(map(le, k, p)) for k in kept):
+    for p in sorted(pts, key=itemgetter(*range(len(pts[0]) - 1, -1, -1))):
+        for k in kept:
+            if all(map(le, k, p)):
+                break
+        else:
             kept.append(p)
     return kept
 
@@ -107,6 +111,11 @@ def _hv(pts: list[Point], ref: Point) -> float:
     2-D and 3-D input is swept; otherwise (d >= 4, or d == 1 where reduced
     input is one point) it is the sum of each point's exclusive volume
     against the points after it, in input order.
+
+    The last two terms skip _exclusive: the last point has nothing after it,
+    so its exclusive volume is its box, and the second-to-last clips one
+    point, whose hypervolume is its box. Both equal what _exclusive returns
+    to the last bit: _hv of one point is 0.0 plus a positive box.
     """
     d = len(ref)
     if d == 2:
@@ -114,14 +123,19 @@ def _hv(pts: list[Point], ref: Point) -> float:
     if d == 3:
         return _hv_3d(pts, ref)
     total = 0.0
-    for i, point in enumerate(pts):
-        total += _exclusive(point, pts[i + 1 :], ref)
-    return total
+    n = len(pts)
+    for i in range(n - 2):
+        total += _exclusive(pts[i], pts[i + 1 :], ref)
+    last = pts[-1]
+    if n > 1:
+        point = pts[-2]
+        total += math.prod(map(sub, ref, point)) - math.prod(map(sub, ref, map(max, last, point)))
+    return total + math.prod(map(sub, ref, last))
 
 
 def _exclusive(point: Point, others: list[Point], ref: Point) -> float:
     """Volume of point's box outside the boxes of others: the box minus others clipped into it."""
-    exclusive = math.prod([r - x for r, x in zip(ref, point)])
+    exclusive = math.prod(map(sub, ref, point))
     if others:
         exclusive -= _hv(_reduce([tuple(map(max, q, point)) for q in others]), ref)
     return exclusive

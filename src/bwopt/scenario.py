@@ -289,9 +289,13 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
     existing = []
     for i, s in enumerate(data.get("existing_structures", [])):
         try:
-            existing.append((np.asarray(s["vertices"], dtype=float), Material(s.get("material", "solid_wall"))))
+            vertices, material = s["vertices"], Material(s.get("material", "solid_wall"))
         except (KeyError, ValueError) as exc:
             problems.append(f"existing structure {i}: {exc}")
+            continue
+        existing.append((_xy_array(vertices, f"existing structure {i} vertices", problems), material))
+    control_points = _xy_array(data.get("control_points", []), "control_points", problems)
+    fairway = _xy_array(data.get("fairway", []), "fairway", problems)
     attachments = []
     for i, a in enumerate(data.get("attachments", [])):
         try:
@@ -328,8 +332,8 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         transmission=transmission,
         existing_structures=existing,
         attachments=attachments,
-        control_points=np.asarray(data.get("control_points", []), dtype=float).reshape(-1, 2),
-        fairway=np.asarray(data.get("fairway", []), dtype=float).reshape(-1, 2),
+        control_points=control_points,
+        fairway=fairway,
         init=init,
         gene_levels=levels,
         nav_sampling_step=float(data.get("nav_sampling_step", 0.25)),
@@ -338,6 +342,22 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         source=data,
     )
     return scenario.finalize()
+
+
+def _xy_array(value, what: str, problems: list[str]) -> np.ndarray:
+    """value as an (n, 2) float array; records a problem naming what unless it is finite (n, 2)."""
+    try:
+        xy = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{what}: must be a list of [x, y] pairs ({exc})")
+        return np.empty((0, 2))
+    if xy.size == 0:
+        return xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        problems.append(f"{what}: must be a list of [x, y] pairs, got shape {xy.shape}")
+    elif not np.isfinite(xy).all():
+        problems.append(f"{what}: coordinates must be finite")
+    return xy
 
 
 def _parse_grid(gdata, base_dir: Path | None, problems: list[str]) -> ScenarioGrid | None:

@@ -25,6 +25,7 @@ from bwopt.geometry import (
     sample_polyline,
     segments_cross,
     supercover_line,
+    _fairway_samples,
 )
 
 TWO_SEGMENTS = [Attachment(AttachmentPoint(5.0, 5.0, 30.0), n_segments=2)]
@@ -253,10 +254,24 @@ def test_min_distance_symmetric_in_point_sets():
     assert min_polyline_distance(a, b, 0.25) == pytest.approx(min_polyline_distance(b, a, 0.25))
 
 
+def reference_sample_polyline(verts, step):
+    """The earlier sampler, kept as the reference: one appended row per point."""
+    verts = np.asarray(verts, dtype=float)
+    points = [verts[0]]
+    for p, q in zip(verts[:-1], verts[1:]):
+        length = math.hypot(q[0] - p[0], q[1] - p[1])
+        if length == 0.0:
+            continue
+        n = max(1, math.ceil(length / step))
+        ts = np.arange(1, n + 1) / n
+        points.extend(p + ts[:, None] * (q - p))
+    return np.asarray(points)
+
+
 def dense_min_polyline_distance(polylines_a, polylines_b, step):
     """The earlier kernel, kept as the reference: one (na, nb, 2) temporary."""
-    a = np.concatenate([sample_polyline(v, step) for v in polylines_a])
-    b = np.concatenate([sample_polyline(v, step) for v in polylines_b])
+    a = np.concatenate([reference_sample_polyline(v, step) for v in polylines_a])
+    b = np.concatenate([reference_sample_polyline(v, step) for v in polylines_b])
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     return float(math.sqrt(d2.min()))
 
@@ -289,6 +304,8 @@ def test_min_polyline_distance_is_bit_identical_to_dense_kernel():
         got = min_polyline_distance(a, b, step)
         assert type(got) is float
         assert got.hex() == dense_min_polyline_distance(a, b, step).hex()
+        clearance = min_distance_to_fairway(mk_layout(*a), b[0], 25.0, step)
+        assert clearance.hex() == (dense_min_polyline_distance(a, b[:1], step) * 25.0).hex()
     assert min_polyline_distance(*cases[0]) == 3.5
 
 
@@ -296,6 +313,40 @@ def test_degenerate_layout_distance_uses_attachment_point():
     layout = mk_layout([[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])
     fairway = np.array([[3.0, 0.0], [3.0, 2.0]])
     assert min_distance_to_fairway(layout, fairway, cell_size=10.0) == pytest.approx(20.0)
+
+
+def test_sample_polyline_is_bit_identical_to_row_appending_sampler():
+    rng = np.random.default_rng(78)
+    for _ in range(300):
+        verts = random_polyline(rng)
+        if rng.random() < 0.2:
+            verts = verts.astype(int)  # integer input is converted, not rounded
+        step = float(rng.uniform(0.1, 3.0))
+        got = sample_polyline(verts, step)
+        want = reference_sample_polyline(verts, step)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fairway_samples_are_cached_by_value_read_only():
+    f1 = np.array([[0.0, 0.0], [0.0, 4.0]])
+    f2 = np.array([[1.0, 0.0], [1.0, 4.0]])  # same shape, other values
+    s1 = _fairway_samples(f1.tobytes(), f1.shape, 0.5)
+    assert _fairway_samples(f1.copy().tobytes(), f1.shape, 0.5) is s1
+    s2 = _fairway_samples(f2.tobytes(), f2.shape, 0.5)
+    assert s2.tobytes() == reference_sample_polyline(f2, 0.5).tobytes() != s1.tobytes()
+    s3 = _fairway_samples(f1.tobytes(), f1.shape, 0.25)
+    assert s3.tobytes() == reference_sample_polyline(f1, 0.25).tobytes()
+    assert len(s3) == 17 and len(s1) == 9
+    assert not s1.flags.writeable
+    with pytest.raises(ValueError):
+        s1[0, 0] = 1.0
+    layout = mk_layout([[3.0, 0.0], [3.0, 4.0]])
+    assert min_distance_to_fairway(layout, f1, 1.0) == 3.0
+    assert min_distance_to_fairway(layout, f2, 1.0) == 2.0
+    point = mk_layout([[1.0, 1.0], [1.0, 1.0]])  # fairway samples at y = 0, 2, 4 for step 3
+    assert min_distance_to_fairway(point, f1, 1.0, 3.0) == math.sqrt(2.0)
+    assert min_distance_to_fairway(point, f1, 1.0, 0.5) == 1.0
 
 
 def test_sample_polyline_spacing_and_endpoints():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mc_hypervolume
+from bwopt import metrics
 from bwopt.evolution import EAConfig, run_spea2
 from bwopt.metrics import (
     FrontSnapshot,
@@ -256,7 +258,7 @@ def np_incremental_values(points, ref):
     return values
 
 
-def test_hv_bit_exact_against_numpy_kernel():
+def test_hv_bit_exact_against_numpy_kernel(monkeypatch):
     rng = np.random.default_rng(11)
     for d in (4, 5):
         for trial in range(12):
@@ -271,6 +273,28 @@ def test_hv_bit_exact_against_numpy_kernel():
             assert hypervolume(pts, ref) == np_hv(np_reduce(pts), ref)
             acc = IncrementalHypervolume(ref)
             assert [acc.add(p) for p in pts] == np_incremental_values(pts, ref)
+    # Sets of two to four points, so clipped subproblems have one or two
+    # points. Copied coordinates make clipped points tie the clipping point.
+    sizes = collections.Counter()  # points per _hv call, recursive calls included
+    hv = metrics._hv
+
+    def counted_hv(pts, ref):
+        sizes[len(pts)] += 1
+        return hv(pts, ref)
+
+    monkeypatch.setattr(metrics, "_hv", counted_hv)
+    for d in (4, 5):
+        for trial in range(60):
+            n = 2 + trial % 3
+            if trial % 4 == 3:
+                pts, ref = rng.integers(0, 3, size=(n, d)).astype(float), np.full(d, 3.5)
+            else:
+                pts, ref = rng.uniform(0, 1, size=(n, d)), rng.uniform(1.3, 1.8, size=d)
+                pts = np.where(rng.random((n, d)) < 0.3, pts[0], pts)
+            assert hypervolume(pts, ref) == np_hv(np_reduce(pts), ref)
+            acc = IncrementalHypervolume(ref)
+            assert [acc.add(p) for p in pts] == np_incremental_values(pts, ref)
+    assert sizes[1] > 100 and sizes[2] > 50, sizes
 
 
 # ----- incremental hypervolume -----

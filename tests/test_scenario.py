@@ -89,6 +89,37 @@ def test_all_violations_are_collected():
     assert len(exc.value.violations) >= 2
 
 
+def assert_rejected_naming(data, field):
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(data)
+    assert any(v.startswith(f"{field}:") for v in exc.value.violations), exc.value.violations
+
+
+def test_flat_existing_structure_vertices_are_rejected():
+    data = scenario_dict(existing_structures=[{"vertices": [4, 12, 4, 8]}])
+    assert_rejected_naming(data, "existing structure 0 vertices")
+
+
+def test_three_column_existing_structure_vertices_are_rejected():
+    data = scenario_dict(existing_structures=[{"vertices": [[4, 12, 1], [4, 8, 1]]}])
+    assert_rejected_naming(data, "existing structure 0 vertices")
+
+
+def test_odd_length_flat_fairway_is_rejected():
+    assert_rejected_naming(scenario_dict(fairway=[16, 0, 16]), "fairway")
+
+
+def test_odd_length_flat_control_points_are_rejected():
+    assert_rejected_naming(scenario_dict(control_points=[10, 9, 3]), "control_points")
+
+
+def test_non_finite_coordinates_are_rejected():
+    assert_rejected_naming(scenario_dict(fairway=[[16, 0], [16, float("nan")]]), "fairway")
+    assert_rejected_naming(scenario_dict(control_points=[[10, float("inf")]]), "control_points")
+    data = scenario_dict(existing_structures=[{"vertices": [[4, 12], [float("nan"), 8]]}])
+    assert_rejected_naming(data, "existing structure 0 vertices")
+
+
 def test_missing_grid_is_rejected():
     with pytest.raises(ScenarioError):
         build_scenario({"boundary": {"incident_height": 2.0, "wave_direction": 90.0}})
