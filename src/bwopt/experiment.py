@@ -45,6 +45,7 @@ from .metrics import (
     reference_point,
     run_snapshots,
 )
+from .parallel import share
 from .scenario import Scenario, load_scenario, scenario_to_json
 
 ALGORITHMS = ("spea2", "de")
@@ -216,7 +217,9 @@ def _plain(obj):
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n")
+    with open(path, "w") as fh:
+        json.dump(_plain(obj), fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _f(value) -> str:
@@ -352,6 +355,8 @@ class ExperimentResult:
 def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path) -> ExperimentResult:
     """Execute the plan matrix and persist all results under out_dir.
 
+    The (variant, seed) runs are independent, so they are shared across CPUs
+    (parallel.share); the export that follows is serial and in plan order.
     A failed run is recorded and the remaining runs continue; the caller can
     check ExperimentResult.ok for the exit status.
     """
@@ -360,15 +365,21 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
     write_json(out / "plan.json", plan_to_dict(plan))
     (out / "scenario.json").write_text(scenario_to_json(scenario))
 
+    def attempt(task: tuple[VariantSpec, int]) -> tuple[RunHistory | None, str | None]:
+        variant, seed = task
+        try:
+            return run_single(variant.algorithm, plan.config_for(variant, seed), scenario), None
+        except Exception as exc:  # record and keep going
+            return None, str(exc)
+
+    tasks = [(variant, seed) for variant in plan.variants for seed in plan.seeds]
     histories: dict[tuple[str, int], RunHistory] = {}
     failures: list[dict] = []
-    for variant in plan.variants:
-        for seed in plan.seeds:
-            config = plan.config_for(variant, seed)
-            try:
-                histories[(variant.name, seed)] = run_single(variant.algorithm, config, scenario)
-            except Exception as exc:  # record and keep going
-                failures.append({"variant": variant.name, "seed": seed, "error": str(exc)})
+    for (variant, seed), (history, error) in zip(tasks, share(attempt, tasks)):
+        if error is None:
+            histories[(variant.name, seed)] = history
+        else:
+            failures.append({"variant": variant.name, "seed": seed, "error": error})
 
     if not histories:
         raise RuntimeError(f"all {len(failures)} runs failed; first error: {failures[0]['error']}")

@@ -392,15 +392,6 @@ def _min_sample_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(math.sqrt(d2.min()))
 
 
-def min_polyline_distance(
-    polylines_a: list[np.ndarray],
-    polylines_b: list[np.ndarray],
-    step: float,
-) -> float:
-    """Smallest distance between two polyline families, by dense sampling."""
-    return _min_sample_distance(_sample_family(polylines_a, step), _sample_family(polylines_b, step))
-
-
 def min_distance_to_fairway(
     layout: Layout,
     fairway: np.ndarray,

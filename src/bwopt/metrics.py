@@ -27,6 +27,7 @@ from operator import ge, itemgetter, le, lt, sub
 import numpy as np
 
 from .objectives import COST_INDEX, WAVE_START_INDEX
+from .parallel import share
 
 
 Point = tuple[float, ...]  # a minimization vector inside the hypervolume kernel
@@ -137,7 +138,9 @@ def _exclusive(point: Point, others: list[Point], ref: Point) -> float:
     """Volume of point's box outside the boxes of others: the box minus others clipped into it."""
     exclusive = math.prod(map(sub, ref, point))
     if others:
-        exclusive -= _hv(_reduce([tuple(map(max, q, point)) for q in others]), ref)
+        clipped = [tuple(map(max, q, point)) for q in others]
+        # _reduce leaves one point as it is
+        exclusive -= _hv(clipped if len(clipped) == 1 else _reduce(clipped), ref)
     return exclusive
 
 
@@ -212,20 +215,39 @@ class IncrementalHypervolume:
         self.front: list[Point] = []
         self.value = 0.0
 
-    def add(self, point: np.ndarray) -> float:
+    def admit(self, point: np.ndarray) -> Point | None:
+        """point as a tuple if adding it adds volume, else None; changes nothing.
+
+        A point adds volume when it is strictly inside the reference box and
+        no front point is <= it in every coordinate (a duplicate adds none).
+        """
         point = tuple(np.asarray(point, dtype=float).tolist())
         if len(point) != len(self.reference):
             raise ValueError(
                 f"point is {len(point)}-dimensional, reference is {len(self.reference)}-dimensional"
             )
         if not all(map(lt, point, self.reference)):
-            return self.value  # dominates nothing inside the reference box
+            return None  # dominates nothing inside the reference box
         if any(all(map(le, q, point)) for q in self.front):
-            return self.value  # dominated (or duplicate): contributes nothing
-        exclusive = _exclusive(point, self.front, self.reference)
+            return None  # dominated (or duplicate): contributes nothing
+        return point
+
+    def insert(self, point: Point) -> None:
+        """Put an admitted point on the front, dropping the points it weakly dominates.
+
+        front becomes a new list, so a front taken before stays as it was.
+        """
         self.front = [q for q in self.front if not all(map(ge, q, point))]
-        self.value += max(exclusive, 0.0)
         self.front.append(point)
+
+    def add(self, point: np.ndarray, exclusive: float | None = None) -> float:
+        """Add point; exclusive, if given, is its exclusive volume against front."""
+        point = self.admit(point)
+        if point is not None:
+            if exclusive is None:
+                exclusive = _exclusive(point, self.front, self.reference)
+            self.insert(point)
+            self.value += max(exclusive, 0.0)
         return self.value
 
     def add_all(self, points: np.ndarray) -> float:
@@ -272,17 +294,35 @@ def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
 
     Computed incrementally: a generation's front differs from the previous
     one only by its newly nondominated points, and points that later drop
-    off a front are dominated, so they never change the value.
+    off a front are dominated, so they never change the value. A first pass
+    finds the points that add volume and the front each one meets; their
+    exclusive volumes are then shared across CPUs (parallel.share) and added
+    in insertion order, which gives the same value as adding them one by one.
     """
-    acc = IncrementalHypervolume(reference)
+    probe = IncrementalHypervolume(reference)
     seen: set[bytes] = set()
-    out = []
+    fresh: list[list[tuple[np.ndarray, bool]]] = []  # per record: new points, admitted?
+    jobs: list[tuple[Point, list[Point]]] = []
     for record in history.records:
+        new = []
         for ind in record.front:
             key = ind.point.tobytes()
             if key not in seen:
                 seen.add(key)
-                acc.add(ind.point)
+                point = probe.admit(ind.point)
+                new.append((ind.point, point is not None))
+                if point is not None:
+                    jobs.append((point, probe.front))
+                    probe.insert(point)
+        fresh.append(new)
+    ref = probe.reference
+    exclusives = iter(share(lambda job: _exclusive(job[0], job[1], ref), jobs))
+
+    acc = IncrementalHypervolume(reference)
+    out = []
+    for record, new in zip(history.records, fresh):
+        for point, admitted in new:
+            acc.add(point, next(exclusives) if admitted else None)
         points = (
             np.array([ind.point for ind in record.front])
             if record.front

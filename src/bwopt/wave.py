@@ -23,6 +23,7 @@ plain-text files in a work directory.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 from dataclasses import dataclass
 from functools import lru_cache
@@ -272,28 +273,35 @@ class FileExchangeWaveModel:
     negative height on a water cell raises ValueError. A nonzero exit status
     raises RuntimeError naming the status and the tail of the command's
     stderr.
+
+    A call from a process other than the one that built the adapter (a
+    forked participant of parallel.share) uses workdir/worker_<pid>
+    instead, so concurrent runs never overwrite each other's files.
     """
 
     def __init__(self, command: list[str], workdir: str | Path):
         self.command = list(command)
         self.workdir = Path(workdir)
+        self._pid = os.getpid()
 
     def simulate(self, grid, obstacles, boundary) -> np.ndarray:
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        write_field(self.workdir / "depth.txt", grid.depth)
-        with open(self.workdir / "obstacles.txt", "w") as fh:
+        pid = os.getpid()
+        workdir = self.workdir if pid == self._pid else self.workdir / f"worker_{pid}"
+        workdir.mkdir(parents=True, exist_ok=True)
+        write_field(workdir / "depth.txt", grid.depth)
+        with open(workdir / "obstacles.txt", "w") as fh:
             for (col, row), coeff in sorted(obstacles.cells.items()):
                 fh.write(f"{col} {row} {coeff!r}\n")
-        with open(self.workdir / "boundary.txt", "w") as fh:
+        with open(workdir / "boundary.txt", "w") as fh:
             fh.write(f"incident_height {boundary.incident_height!r}\n")
             fh.write(f"wave_direction {boundary.wave_direction!r}\n")
-        done = subprocess.run(self.command, cwd=self.workdir, stderr=subprocess.PIPE)
+        done = subprocess.run(self.command, cwd=workdir, stderr=subprocess.PIPE)
         if done.returncode != 0:
             tail = done.stderr.decode(errors="replace")[-STDERR_TAIL_CHARS:]
             raise RuntimeError(
                 f"external model {self.command!r} exited with status {done.returncode}; stderr tail: {tail!r}"
             )
-        field = read_field(self.workdir / "heights.txt")
+        field = read_field(workdir / "heights.txt")
         if field.shape != (grid.n_rows, grid.n_cols):
             raise ValueError(
                 f"external model returned shape {field.shape}, expected {(grid.n_rows, grid.n_cols)}"

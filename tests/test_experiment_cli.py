@@ -1,10 +1,13 @@
 import json
+import multiprocessing
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import scenario_dict
+from bwopt import parallel
 from bwopt.cli import main
 from bwopt.evolution import EAConfig
 from bwopt.experiment import (
@@ -309,6 +312,44 @@ def test_experiment_all_failed_raises(tmp_path, unit_scenario_module):
     scenario = FailingEncodingScenario(unit_scenario_module)
     with pytest.raises(RuntimeError, match="all 1 runs failed"):
         run_experiment(plan, scenario, tmp_path / "out")
+
+
+# ----- runs shared across CPUs -----
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_experiment_tree_same_for_any_worker_count(tmp_path, monkeypatch, unit_scenario_module, failing):
+    plan = plan_from_dict(plan_dict(generations=2))  # 4 runs: 2 variants x 2 seeds
+    scenario = FailingEncodingScenario(unit_scenario_module) if failing else unit_scenario_module
+    trees, failures = [], []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        result = run_experiment(plan, scenario, tmp_path / f"w{cpus}")
+        assert multiprocessing.active_children() == []
+        trees.append(tree_bytes(tmp_path / f"w{cpus}"))
+        failures.append(result.failures)
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    assert failures[1] == failures[0] and failures[2] == failures[0]
+    assert [f["variant"] for f in failures[0]] == (["de_cartesian"] * 2 if failing else [])
+
+
+def test_experiment_with_stub_solver_same_for_any_worker_count(tmp_path, monkeypatch):
+    from bwopt.scenario import build_scenario
+    from bwopt.wave import FileExchangeWaveModel
+
+    stub = Path(__file__).resolve().parent / "stub_solver.py"
+    plan = plan_from_dict(plan_dict(seeds=[1, 2], generations=1, population_size=4, archive_size=4,
+                                    variants=[{"algorithm": "spea2", "encoding": "angular"}]))
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        work = tmp_path / f"solver{cpus}"
+        scenario = build_scenario(scenario_dict())
+        scenario.wave_model = FileExchangeWaveModel([sys.executable, str(stub), "3"], work)
+        run_experiment(plan, scenario, tmp_path / f"w{cpus}")
+        trees.append(tree_bytes(tmp_path / f"w{cpus}"))
+        workers = sorted(p.name for p in work.glob("worker_*"))
+        assert len(workers) == cpus - 1  # the forked run used its own directory
+    assert trees[1] == trees[0]
 
 
 # ----- CLI -----

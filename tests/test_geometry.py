@@ -18,7 +18,6 @@ from bwopt.geometry import (
     count_crossings,
     decode,
     min_distance_to_fairway,
-    min_polyline_distance,
     normalize_angle,
     polyline_segments,
     rasterize,
@@ -26,6 +25,8 @@ from bwopt.geometry import (
     segments_cross,
     supercover_line,
     _fairway_samples,
+    _min_sample_distance,
+    _sample_family,
 )
 
 TWO_SEGMENTS = [Attachment(AttachmentPoint(5.0, 5.0, 30.0), n_segments=2)]
@@ -246,6 +247,14 @@ def test_min_distance_skew_matches_dense_oracle():
     # dense sampling can only overestimate the continuous minimum,
     # by at most one sampling step per curve
     assert oracle - 1e-9 <= got <= oracle + 2 * 0.25 * 10.0
+
+
+def min_polyline_distance(polylines_a, polylines_b, step):
+    """Smallest distance between two polyline families, by dense sampling.
+
+    Built from the kernel min_distance_to_fairway uses, for families of any size.
+    """
+    return _min_sample_distance(_sample_family(polylines_a, step), _sample_family(polylines_b, step))
 
 
 def test_min_distance_symmetric_in_point_sets():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mc_hypervolume
-from bwopt import metrics
+from bwopt import metrics, parallel
 from bwopt.evolution import EAConfig, run_spea2
 from bwopt.metrics import (
     FrontSnapshot,
@@ -388,6 +388,30 @@ def test_run_snapshots_cumulative_and_non_decreasing(unit_scenario):
         direct = hypervolume(np.array([ind.point for ind in record.front]), reference)
         assert snap.hypervolume == pytest.approx(direct, rel=1e-9)
         assert snap.front_size == len(record.front)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_snapshots_equal_a_plain_incremental_replay(harbor_scenario, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    history = run_spea2(EAConfig(population_size=12, generations=6, seed=4), harbor_scenario)
+    reference = reference_point(all_front_points([history]))
+    acc = IncrementalHypervolume(reference)
+    seen = set()
+    expected = []
+    for record in history.records:
+        for ind in record.front:
+            if ind.point.tobytes() not in seen:
+                seen.add(ind.point.tobytes())
+                acc.add(ind.point)
+        expected.append(acc.value)
+    added = []
+    real_add = IncrementalHypervolume.add
+    monkeypatch.setattr(
+        IncrementalHypervolume, "add", lambda self, *args: added.append(1) or real_add(self, *args)
+    )
+    assert [s.hypervolume for s in run_snapshots(history, reference)] == expected
+    assert len(added) == len(seen)  # every new point still goes through add, in this process
+    assert len(reference) == 5 and expected[-1] > 0.0
 
 
 def test_all_front_points_rejects_empty():
