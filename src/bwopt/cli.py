@@ -21,6 +21,7 @@ import numpy as np
 
 from .evolution import EAConfig
 from .experiment import (
+    _f,
     load_plan,
     optimize_once,
     resolve_scenario,
@@ -261,7 +262,7 @@ def _export_field(args: argparse.Namespace) -> int:
 
 def _write_polylines(path: Path, polylines) -> None:
     lines = [
-        ";".join(f"{float(x)!r} {float(y)!r}" for x, y in verts) for verts in polylines
+        ";".join(f"{_f(x)} {_f(y)}" for x, y in verts) for verts in polylines
     ]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 

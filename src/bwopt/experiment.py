@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -39,7 +39,6 @@ from .geometry import Encoding, decode
 from .metrics import (
     FrontSnapshot,
     all_front_points,
-    hypervolume,
     quartile_table,
     reduce_to_2d,
     reference_point,
@@ -120,23 +119,13 @@ class ExperimentPlan:
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
     """Build a plan from parsed JSON; a single top-level variant is allowed."""
-    if "variants" in data:
-        raw_variants = data["variants"]
-    else:
-        raw_variants = [
-            {
-                "algorithm": data.get("algorithm", "spea2"),
-                "encoding": data.get("encoding", "angular"),
-                "greedy": data.get("greedy", False),
-            }
-        ]
     variants = [
         VariantSpec(
             algorithm=str(v.get("algorithm", "spea2")),
             encoding=Encoding(v.get("encoding", "angular")),
             greedy=bool(v.get("greedy", False)),
         )
-        for v in raw_variants
+        for v in (data["variants"] if "variants" in data else [data])
     ]
     seeds = [int(s) for s in data["seeds"]]
     if "repeats" in data and int(data["repeats"]) != len(seeds):
@@ -227,24 +216,30 @@ def _f(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write a header and rows; every float cell, np.float64 included, as repr(float(v))."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_f(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 # ----- per-run exports ---------------------------------------------------------
 
-def _config_dict(config: EAConfig) -> dict:
-    out = asdict(config)
-    out["encoding"] = config.encoding.value
-    return out
+def run_meta(scenario: Scenario, algorithm: str, config: EAConfig) -> dict:
+    """What a run's final_front.json says about the run it came from."""
+    return {
+        "scenario": scenario.name,
+        "algorithm": algorithm,
+        "encoding": config.encoding.value,
+        "greedy": config.greedy,
+        "seed": config.seed,
+    }
 
 
 def history_to_dict(history: RunHistory) -> dict:
     return {
         "algorithm": history.algorithm,
-        "config": _config_dict(history.config),
+        "config": asdict(history.config),
         "greedy_checks": history.greedy_checks,
         "greedy_violations": history.greedy_violations,
         "generations": [
@@ -297,22 +292,17 @@ def write_front(dir_path: Path, front: list[Individual], scenario: Scenario, met
         layout_text = "|".join(
             ";".join(f"{_f(x)} {_f(y)}" for x, y in verts) for verts in m["layout"]
         )
+        raw, rel = m["objectives"], m["relative"]
         rows.append(
-            [i, _f(m["objectives"]["cost"]), _f(m["objectives"]["nav_distance"])]
-            + [_f(h) for h in m["objectives"]["wave_heights"]]
-            + [_f(m["relative"]["cost"]), _f(m["relative"]["nav_distance"])]
-            + [_f(h) for h in m["relative"]["wave_heights"]]
+            [i, raw["cost"], raw["nav_distance"], *raw["wave_heights"]]
+            + [rel["cost"], rel["nav_distance"], *rel["wave_heights"]]
             + [" ".join(_f(g) for g in m["genes"]), layout_text]
         )
     write_csv(dir_path / "final_front.csv", header, rows)
 
 
 def write_snapshots(path: Path, snapshots: list[FrontSnapshot]) -> None:
-    rows = [
-        [s.generation, s.model_runs, s.front_size, _f(s.hypervolume), _f(s.best_scalar)]
-        for s in snapshots
-    ]
-    write_csv(path, ["generation", "model_runs", "front_size", "hypervolume", "best_scalar"], rows)
+    write_csv(path, [f.name for f in fields(FrontSnapshot)], [astuple(s) for s in snapshots])
 
 
 def export_run(
@@ -320,12 +310,12 @@ def export_run(
     history: RunHistory,
     scenario: Scenario,
     reference: np.ndarray,
-    meta: dict,
 ) -> list[FrontSnapshot]:
     dir_path.mkdir(parents=True, exist_ok=True)
     write_json(dir_path / "history.json", history_to_dict(history))
     snapshots = run_snapshots(history, reference)
     write_snapshots(dir_path / "snapshots.csv", snapshots)
+    meta = run_meta(scenario, history.algorithm, history.config)
     write_front(dir_path, history.final_front(), scenario, meta)
     return snapshots
 
@@ -401,14 +391,7 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
             history = histories.get((variant.name, seed))
             if history is None:
                 continue
-            meta = {
-                "scenario": scenario.name,
-                "algorithm": variant.algorithm,
-                "encoding": variant.encoding.value,
-                "greedy": variant.greedy,
-                "seed": seed,
-            }
-            snapshots = export_run(variant_dir / f"seed_{seed}", history, scenario, reference, meta)
+            snapshots = export_run(variant_dir / f"seed_{seed}", history, scenario, reference)
             snapshot_lists.append(snapshots)
             final = snapshots[-1]
             finals[str(seed)] = final.hypervolume
@@ -431,16 +414,11 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
             )
             if history.final_front():
                 points = np.array([ind.point for ind in history.final_front()])
-                for cost_pct, wave_pct in reduce_to_2d(points):
-                    front_rows.append([seed, _f(cost_pct), _f(wave_pct)])
+                front_rows.extend([seed, *row] for row in reduce_to_2d(points))
         write_csv(
             variant_dir / "convergence.csv",
             ["generation", "model_runs", "hv_q1", "hv_median", "hv_q3", "hv_min", "hv_max"],
-            [
-                [r["generation"], r["model_runs"]]
-                + [_f(r[k]) for k in ("hv_q1", "hv_median", "hv_q3", "hv_min", "hv_max")]
-                for r in quartile_table(snapshot_lists)
-            ],
+            [list(r.values()) for r in quartile_table(snapshot_lists)],
         )
         write_csv(variant_dir / "fronts_2d.csv", ["seed", "cost_pct", "mean_wave_pct"], front_rows)
         values = np.array(sorted(finals.values()))
@@ -457,24 +435,7 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
         metrics["failures"] = failures
     write_json(out / "metrics.json", metrics)
 
-    header = [
-        "variant", "algorithm", "encoding", "greedy", "seed", "generations",
-        "population_size", "model_runs", "final_front_size", "final_hypervolume",
-        "best_scalar", "greedy_checks", "greedy_violations",
-    ]
-    write_csv(
-        out / "summary.csv",
-        header,
-        [
-            [
-                r["variant"], r["algorithm"], r["encoding"], r["greedy"], r["seed"],
-                r["generations"], r["population_size"], r["model_runs"],
-                r["final_front_size"], _f(r["final_hypervolume"]), _f(r["best_scalar"]),
-                r["greedy_checks"], r["greedy_violations"],
-            ]
-            for r in summary_rows
-        ],
-    )
+    write_csv(out / "summary.csv", list(summary_rows[0]), [list(r.values()) for r in summary_rows])
     return ExperimentResult(out_dir=out, reference=reference, summary_rows=summary_rows, failures=failures)
 
 
@@ -495,20 +456,13 @@ def optimize_once(
     out.mkdir(parents=True, exist_ok=True)
     history = run_single(algorithm, config, scenario)
     (out / "scenario.json").write_text(scenario_to_json(scenario))
-    write_json(out / "config.json", {"algorithm": algorithm, **_config_dict(config)})
+    write_json(out / "config.json", {"algorithm": algorithm, **asdict(config)})
     front = history.final_front()
     if front:
         reference = reference_point(all_front_points([history]))
     else:
         reference = np.zeros(2 + len(scenario.baseline.wave_heights))
-    meta = {
-        "scenario": scenario.name,
-        "algorithm": algorithm,
-        "encoding": config.encoding.value,
-        "greedy": config.greedy,
-        "seed": config.seed,
-    }
-    export_run(out, history, scenario, reference, meta)
+    export_run(out, history, scenario, reference)
     write_json(out / "metrics.json", {
         "reference_point": reference,
         "objective_labels": objective_labels(scenario),

@@ -278,15 +278,13 @@ def reduce_to_2d(points: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FrontSnapshot:
+    """One generation's row of snapshots.csv; the fields are its columns, in order."""
+
     generation: int
     model_runs: int
-    points: np.ndarray          # the cumulative front, minimization form
+    front_size: int             # points on the cumulative front
     hypervolume: float
     best_scalar: float
-
-    @property
-    def front_size(self) -> int:
-        return len(self.points)
 
 
 def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
@@ -323,16 +321,11 @@ def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
     for record, new in zip(history.records, fresh):
         for point, admitted in new:
             acc.add(point, next(exclusives) if admitted else None)
-        points = (
-            np.array([ind.point for ind in record.front])
-            if record.front
-            else np.empty((0, len(acc.reference)))
-        )
         out.append(
             FrontSnapshot(
                 generation=record.generation,
                 model_runs=record.model_runs,
-                points=points,
+                front_size=len(record.front),
                 hypervolume=acc.value,
                 best_scalar=record.best_scalar,
             )

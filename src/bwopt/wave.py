@@ -92,38 +92,45 @@ class ObstacleSet:
 
 
 @lru_cache(maxsize=32)
-def _ray_offsets(wave_direction: float, n_cols: int, n_rows: int) -> np.ndarray:
-    """Supercover cell offsets of the upwave ray from a cell center, in path order.
-
-    All rays are parallel, so one offset template traced from the origin
-    serves every cell; out-of-grid offsets are skipped. Returns a read-only
-    (K, 2) int array of (dx, dy) rows; row 0 is the cell itself.
-    """
-    theta = math.radians(wave_direction)
-    reach = math.hypot(n_cols, n_rows) + 2.0
-    end = (-reach * math.cos(theta), -reach * math.sin(theta))
-    offsets = np.array(supercover_line((0.0, 0.0), end), dtype=np.intp)
-    offsets.flags.writeable = False
-    return offsets
-
-
-@lru_cache(maxsize=32)
-def _land_shadow(wave_direction: float, shape: tuple[int, int], land_bytes: bytes) -> np.ndarray:
-    """Read-only mask of the cells whose upwave ray crosses land (land included).
+def _grid_tables(
+    wave_direction: float, shape: tuple[int, int], land_bytes: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of one grid and wave direction, built once.
 
     Keyed by value, so two grids with the same shape and a different land
-    mask never share an entry. Runs once per grid and wave direction.
+    mask never share an entry. Returns
+      offsets  supercover cell offsets of the upwave ray from a cell center,
+               in path order: a (K, 2) int array of (dx, dy) rows, row 0 the
+               cell itself. All rays are parallel, so one template traced
+               from the origin serves every cell;
+      shadow   mask of the cells whose upwave ray crosses land (land included);
+      masks    per-neighbor-shift float masks of in-grid water neighbors;
+      count    1 + the sum of masks.
     """
     rows, cols = shape
+    theta = math.radians(wave_direction)
+    reach = math.hypot(cols, rows) + 2.0
+    end = (-reach * math.cos(theta), -reach * math.sin(theta))
+    offsets = np.array(supercover_line((0.0, 0.0), end), dtype=np.intp)
+
     land = np.frombuffer(land_bytes, dtype=bool).reshape(shape)
     shadow = np.zeros(shape, dtype=bool)
-    for ox, oy in _ray_offsets(wave_direction, cols, rows):
+    for ox, oy in offsets:
         r0, r1 = max(0, -oy), min(rows, rows - oy)
         c0, c1 = max(0, -ox), min(cols, cols - ox)
         if r0 < r1 and c0 < c1:
             shadow[r0:r1, c0:c1] |= land[r0 + oy : r1 + oy, c0 + ox : c1 + ox]
-    shadow.flags.writeable = False
-    return shadow
+
+    padded = np.zeros((rows + 2, cols + 2))
+    padded[1:-1, 1:-1] = ~land
+    masks = np.stack([padded[1 + dy : 1 + dy + rows, 1 + dx : 1 + dx + cols] for dy, dx in _NEIGHBOR_SHIFTS])
+    count = np.ones(shape)  # the cell itself; land cells never read it
+    for mask in masks:
+        count += mask
+
+    for table in (offsets, shadow, masks, count):
+        table.flags.writeable = False
+    return offsets, shadow, masks, count
 
 
 def simulate(
@@ -154,8 +161,7 @@ def simulate(
     """
     rows, cols = grid.n_rows, grid.n_cols
     land = grid.land_mask
-    direction = boundary.wave_direction
-    shadow = _land_shadow(direction, land.shape, land.tobytes())
+    offsets, shadow, masks, count = _grid_tables(boundary.wave_direction, land.shape, land.tobytes())
 
     n_cells = rows * cols
     factor = np.ones(n_cells)
@@ -169,7 +175,6 @@ def simulate(
         # (offset, obstacle) pairs, k-major: the downwave cell of obstacle j
         # at offset k is [k, j]; in that order every cell multiplies in its
         # obstacle coefficients in ray-path order
-        offsets = _ray_offsets(direction, cols, rows)
         target_col = col - offsets[:, :1]
         target = (row * cols + col) - (offsets[:, 1:] * cols + offsets[:, :1])
         hit = (target_col >= 0) & (target_col < cols) & (target >= 0) & (target < n_cells)
@@ -179,28 +184,14 @@ def simulate(
 
     field = boundary.incident_height * factor
     if diffusion_passes > 0:
-        field = _diffuse(field, ~land, diffusion_passes)
+        field = _diffuse(field, land, masks, count, diffusion_passes)
     return field
 
 
-@lru_cache(maxsize=32)
-def _neighbor_masks(shape: tuple[int, int], water_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shift float masks of in-grid water neighbors, and 1 + their sum."""
-    rows, cols = shape
-    water = np.frombuffer(water_bytes, dtype=bool).reshape(shape)
-    padded = np.zeros((rows + 2, cols + 2))
-    padded[1:-1, 1:-1] = water
-    masks = np.stack([padded[1 + dy : 1 + dy + rows, 1 + dx : 1 + dx + cols] for dy, dx in _NEIGHBOR_SHIFTS])
-    count = np.ones(shape)  # the cell itself; land cells never read it
-    for mask in masks:
-        count += mask
-    masks.flags.writeable = False
-    count.flags.writeable = False
-    return masks, count
-
-
-def _diffuse(field: np.ndarray, water: np.ndarray, passes: int) -> np.ndarray:
-    """Neighbor-averaging passes over water cells.
+def _diffuse(
+    field: np.ndarray, land: np.ndarray, masks: np.ndarray, count: np.ndarray, passes: int
+) -> np.ndarray:
+    """Neighbor-averaging passes over water cells, with masks and count from _grid_tables.
 
     Written in update form (cell + mean neighbor difference) so a constant
     field passes through bit-exactly. Each pass reads the neighbors from a
@@ -211,8 +202,6 @@ def _diffuse(field: np.ndarray, water: np.ndarray, passes: int) -> np.ndarray:
     neighbors' differences.
     """
     rows, cols = field.shape
-    masks, count = _neighbor_masks(field.shape, water.tobytes())
-    land = ~water
     padded = np.zeros((rows + 2, cols + 2))
     out = padded[1:-1, 1:-1]
     out[...] = field

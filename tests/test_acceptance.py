@@ -263,7 +263,7 @@ def test_criterion_07_protocol_run(comparison_runs):
     check(
         7, "30x30 protocol run",
         model_runs == 900 and duration < 60.0 and monotone,
-        f"{model_runs} wave-model runs in {duration:.1f} s, "
+        f"{model_runs} model runs in {duration:.1f} s, "
         f"cumulative-front hypervolume non-decreasing over {len(values)} generations",
     )
 

@@ -425,7 +425,7 @@ def test_all_front_points_rejects_empty():
 def test_quartile_table_identical_runs_have_zero_iqr():
     snaps = [
         FrontSnapshot(generation=g, model_runs=10 * (g + 1),
-                      points=np.zeros((1, 2)), hypervolume=float(g), best_scalar=0.0)
+                      front_size=1, hypervolume=float(g), best_scalar=0.0)
         for g in range(4)
     ]
     rows = quartile_table([snaps, snaps, snaps])
