@@ -1,15 +1,16 @@
 """Front quality metrics.
 
 Hypervolume here is exact, not estimated: 2-D and 3-D fronts are swept
-directly, and four or more dimensions use the WFG exclusive-volume recursion
-(While, Bradstreet & Barone, IEEE TEVC 2012), which stays in the same
-dimension, so 5-D fronts never reach the sweeps. Points not strictly inside
-the reference box are dropped before any of it runs. All metrics operate on
-minimization vectors (the optimizer's relative-objective space).
+directly, and four or more dimensions are sliced on the last objective as in
+WFG (While, Bradstreet & Barone, IEEE TEVC 2012): each level drops one
+dimension, so a 5-D front goes 5-D -> 4-D -> the 3-D sweep. Points not
+strictly inside the reference box are dropped before any of it runs. All
+metrics operate on minimization vectors (the optimizer's relative-objective
+space).
 
 The hypervolume kernel (_reduce, _hv, _exclusive, the sweeps and
 IncrementalHypervolume) runs on lists of plain-float tuples, not arrays: a
-5-D convergence series makes about 10^5 recursive calls, most on one or two
+5-D convergence series makes about 10^4 recursive calls, most on a few
 points, where NumPy's per-call overhead costs more than the arithmetic.
 Every box product multiplies the coordinates left to right, and every sum
 adds the points in _reduce's sorted order. Float addition is not
@@ -110,37 +111,36 @@ def _hv(pts: list[Point], ref: Point) -> float:
 
     hypervolume() and IncrementalHypervolume.add drop the other points first.
     2-D and 3-D input is swept; otherwise (d >= 4, or d == 1 where reduced
-    input is one point) it is the sum of each point's exclusive volume
-    against the points after it, in input order.
-
-    The last two terms skip _exclusive: the last point has nothing after it,
-    so its exclusive volume is its box, and the second-to-last clips one
-    point, whose hypervolume is its box. Both equal what _exclusive returns
-    to the last bit: _hv of one point is 0.0 plus a positive box.
+    input is one point) it is sliced on the last objective. _reduce output
+    ascends in that coordinate, so the points before pts[i], clipped into its
+    box, all share its last coordinate: pts[i] adds ref[-1] - pts[i][-1]
+    times its (d - 1)-dimensional exclusive volume against them.
     """
     d = len(ref)
     if d == 2:
         return _hv_2d(pts, ref)
     if d == 3:
         return _hv_3d(pts, ref)
+    top, ref = ref[-1], ref[:-1]
+    flat = [p[:-1] for p in pts]
     total = 0.0
-    n = len(pts)
-    for i in range(n - 2):
-        total += _exclusive(pts[i], pts[i + 1 :], ref)
-    last = pts[-1]
-    if n > 1:
-        point = pts[-2]
-        total += math.prod(map(sub, ref, point)) - math.prod(map(sub, ref, map(max, last, point)))
-    return total + math.prod(map(sub, ref, last))
+    for i, p in enumerate(pts):
+        total += (top - p[-1]) * _exclusive(flat[i], flat[:i], ref)
+    return total
 
 
 def _exclusive(point: Point, others: list[Point], ref: Point) -> float:
-    """Volume of point's box outside the boxes of others: the box minus others clipped into it."""
+    """Volume of point's box outside the boxes of others: the box minus others clipped into it.
+
+    One clipped point is taken as its box. _hv of it gives the same bits: it
+    multiplies the same sides, at most the last from the other side (a * b ==
+    b * a in IEEE arithmetic), and adds the product to 0.0.
+    """
     exclusive = math.prod(map(sub, ref, point))
+    if len(others) == 1:
+        return exclusive - math.prod(map(sub, ref, map(max, others[0], point)))
     if others:
-        clipped = [tuple(map(max, q, point)) for q in others]
-        # _reduce leaves one point as it is
-        exclusive -= _hv(clipped if len(clipped) == 1 else _reduce(clipped), ref)
+        exclusive -= _hv(_reduce([tuple(map(max, q, point)) for q in others]), ref)
     return exclusive
 
 

@@ -32,12 +32,12 @@ pytestmark = pytest.mark.skipif(
 
 GOLDEN = {
     "sochi_like": {
-        "de_angular/convergence.csv": "fef61f8bad8437f983f17731a85a88c330a5173f88d482ecfe7f81c8bed0eb5d",
+        "de_angular/convergence.csv": "711c9829cd10595cba1e19d286590fd60202b52e71b631c3887fa36a89c13d91",
         "de_angular/fronts_2d.csv": "ae69fc1f08a376bc54eaf47c4bfe5d0a968dabafcff1723c23c1031967388b32",
         "de_angular/seed_1/final_front.csv": "f9c279c57a29f3d6b76a877c9be03b57522bf534553e59288b93b897396808f3",
         "de_angular/seed_1/final_front.json": "1543bfbf2b1d8d78e642fcee28529f1a08214d848a1475e1c11e87fde3195e00",
         "de_angular/seed_1/history.json": "7ddb61d557603cdb3debbcdc752ea7e3aa396aa315e113cd06741865d214d10e",
-        "de_angular/seed_1/snapshots.csv": "072db6147ede1f700801b873f53d6c0e46489058a442b4cae189431c6f303a01",
+        "de_angular/seed_1/snapshots.csv": "a70814338b5d512a5ba375dde234ace1e45b67e31f5ab343b88072c1b46d9fb5",
         "de_angular_greedy/convergence.csv": "d56e58c2324060d10e9c2606f633900c7d77436cb7c4a16f09cefc6216acfe29",
         "de_angular_greedy/fronts_2d.csv": "28e208b231dd39b7f7e017ab50f8e9a396d13277baea4f795a8a2f152236a23a",
         "de_angular_greedy/seed_1/final_front.csv": "cdfae695a6575ebeb06da74ef22523487db25e849c6c8515a12a47e545a0f7b2",
@@ -56,15 +56,15 @@ GOLDEN = {
         "de_cartesian_greedy/seed_1/final_front.json": "90ac3f22d0feabab39e10a39a4cadc17cb7fa7811e575178059591b9a68feedb",
         "de_cartesian_greedy/seed_1/history.json": "1115da7147bab409617ccb7ad827359d1c22c87537f93eb3459592662d7302f4",
         "de_cartesian_greedy/seed_1/snapshots.csv": "b3bb8057eb7518cbb83f4a695cd73fb8847c879b67f3ca1656916edcbc29fca5",
-        "metrics.json": "66c72316878b21311f16b7d19f57cf66f1e4b87cc1fe75e03fa904f7f08bbeb7",
+        "metrics.json": "91840dfa6ae6bd50c03f49babf46ec332d9d81df5f0f3f5ba78d33f7dec93158",
         "plan.json": "c7bac297b85bb0a3dcf1045fc310e17bc7525854e7d434f3c4e6c7e5e1d130e6",
         "scenario.json": "2b00049742753b2eb1cb5519e90ba1b47bcc3b438d567a5065f86dfe91623e96",
-        "spea2_angular/convergence.csv": "093dca36a6721479bacaed421bb32f077e9ab26fa41d025fc757455ccaffeaad",
+        "spea2_angular/convergence.csv": "60f9b180dd9044ee4a1da65d73a0bbeace670381989c18445e885e18f58b52ae",
         "spea2_angular/fronts_2d.csv": "4f308ad0eb270996b511ad98f1de2090b4fecddc06f1b4fda7b2f0198f8a2fda",
         "spea2_angular/seed_1/final_front.csv": "8c502780e49052c742e3f992cc57e561f62dc935982787dba91d9ae003a9f860",
         "spea2_angular/seed_1/final_front.json": "a7228fcf2a2796a44c1b96ec3f7995386866f9fbeee797438e14b128da9c8528",
         "spea2_angular/seed_1/history.json": "fed18b50a72fc15c050c13e4d5d28dea896f5495ce0129d0e016f11bac1be317",
-        "spea2_angular/seed_1/snapshots.csv": "8bf81d963ec885a185355d741b953b0b34e23e841e8d4990d4bcb76d754ee267",
+        "spea2_angular/seed_1/snapshots.csv": "848679b48197996532eaefbf78ad4d10f6573f685a452e1070274b381e9ad677",
         "spea2_angular_greedy/convergence.csv": "c7f0c466180a877132aec581d737e43a893de66e5402c893de222656a4cd2089",
         "spea2_angular_greedy/fronts_2d.csv": "c33f38403eb7ccd7e734f3ceb1df5780b0cd92b27d07efe518a5f2fa4b267b52",
         "spea2_angular_greedy/seed_1/final_front.csv": "72b9a852ddf7b559b17b11feda8f8c53fe97d44744c5139fc5c5fec259eb9fbd",
@@ -83,7 +83,7 @@ GOLDEN = {
         "spea2_cartesian_greedy/seed_1/final_front.json": "f410ec0ae05bf4e5458d00d45534f0275c5eae17c2c7171b89bcac87d9c6f775",
         "spea2_cartesian_greedy/seed_1/history.json": "ce8088d8d24b171c4db5b30f8a07719fbcada313a6c60d6095f2ea3f04e3f078",
         "spea2_cartesian_greedy/seed_1/snapshots.csv": "d46b17994be1565462b1cf7fd3749d03829d9150b4dde255f17d5d85fbdfc9d8",
-        "summary.csv": "91ff1eb4b56fb3233079801ff11a8bf0db773a84cde23197f5832b0e81dc0c18",
+        "summary.csv": "2b2debdd5a04cd134218137899f6ad654b0ec340b4aabc01f2757067056d9c21",
     },
     "tiny_discrete": {
         "de_angular/convergence.csv": "bd2f1b53d95b8bc2556bc40085cb537f904a7dcd5ce9aeb84a177eb92965050d",

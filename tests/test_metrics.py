@@ -1,5 +1,8 @@
 import collections
 import itertools
+import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,16 +182,24 @@ def test_hv_matches_monte_carlo():
 
 
 def test_hv_3d_sweep_agrees_with_generic_recursion():
-    # lift 3-D sets into 4-D with a constant coordinate: volume scales by the slab
+    # lift 3-D sets into 4-D with a constant coordinate: volume scales by the
+    # slab. The reference kernel recurses in 4-D and never reaches a sweep;
+    # hypervolume() sweeps the 3-D set, and slices the lifted set into 3-D
+    # sweeps of its clipped subsets.
     rng = np.random.default_rng(6)
     for _ in range(20):
         pts = rng.uniform(0, 1, size=(25, 3))
         ref3 = np.full(3, 1.2)
         lifted = np.column_stack([pts, np.zeros(len(pts))])
         ref4 = np.append(ref3, 2.0)
-        assert hypervolume(pts, ref3) * 2.0 == pytest.approx(
-            hypervolume(lifted, ref4), rel=1e-10
-        )
+        tally = collections.Counter()
+        reference = np_hv(np_reduce(lifted), ref4, tally)
+        swept, swept_ops = counted_hypervolume(pts, ref3)
+        sliced, sliced_ops = counted_hypervolume(lifted, ref4)
+        # doubling is exact, so 2 * swept keeps the 3-D error bound times 2
+        for value, ops in ((swept * 2.0, swept_ops), (sliced, sliced_ops)):
+            slack = error_bound(ops, lifted, ref4) + error_bound(tally["ops"], lifted, ref4)
+            assert abs(Fraction(value) - Fraction(reference)) <= slack
 
 
 def sphere_front(seed, n, d):
@@ -201,7 +212,7 @@ def test_hv_bit_exact_on_fixed_fronts():
     for seed, n, d, expected in (
         (21, 30, 2, 0.36342333903414986),
         (22, 40, 3, 0.507579293560824),
-        (23, 25, 5, 0.5786612865876335),
+        (23, 25, 5, 0.5786612865876333),
     ):
         assert hypervolume(sphere_front(seed, n, d), np.full(d, 1.1)) == expected
     acc = IncrementalHypervolume(np.full(5, 1.1))
@@ -217,7 +228,21 @@ def test_hv_returns_plain_float():
         assert type(acc.value) is float
 
 
-# ----- bit-exactness against the NumPy kernel the plain-float one replaced -----
+def test_hv_one_point_is_its_box_to_the_last_bit():
+    # _exclusive takes a one-point clipped set as its box without calling _hv
+    rng = np.random.default_rng(13)
+    for d in range(1, 7):
+        for _ in range(50):
+            point, ref = rng.uniform(0, 1, size=d), rng.uniform(1.0, 2.0, size=d)
+            box = math.prod(map(operator.sub, ref.tolist(), point.tolist()))
+            assert hypervolume(point[None], ref) == box
+
+
+# ----- reference kernel and exact oracle -----
+
+# The in-dimension WFG recursion the plain-float kernel used before it sliced
+# on the last objective, on NumPy arrays. tally, if given, counts its rounded
+# float operations under "ops".
 
 def np_reduce(pts):
     pts = pts[np.lexsort(pts.T)]
@@ -229,72 +254,183 @@ def np_reduce(pts):
     return pts[~dominance(pts).any(axis=0)]
 
 
-def np_hv(pts, ref):
+def np_hv(pts, ref, tally=None):
     # d >= 4 only: the recursion stays in d dimensions and never reaches the sweeps
     total = 0.0
     for i in range(len(pts)):
-        total += np_exclusive(pts[i], pts[i + 1 :], ref)
+        total += np_exclusive(pts[i], pts[i + 1 :], ref, tally)
+    if tally is not None:
+        tally["ops"] += len(pts)  # the sums
     return total
 
 
-def np_exclusive(point, others, ref):
+def np_exclusive(point, others, ref, tally=None):
     exclusive = float(np.prod(ref - point))
+    if tally is not None:
+        tally["ops"] += 2 * len(ref) - 1 + (len(others) > 0)  # d sides, d - 1 products, the difference
     if len(others):
-        exclusive -= np_hv(np_reduce(np.maximum(others, point)), ref)
+        exclusive -= np_hv(np_reduce(np.maximum(others, point)), ref, tally)
     return exclusive
 
 
-def np_incremental_values(points, ref):
+def np_incremental_values(points, ref, tally=None):
     front = np.empty((0, len(ref)))
     value = 0.0
     values = []
     for point in points:
         if np.all(point < ref) and not np.any(np.all(front <= point, axis=1)):
-            exclusive = np_exclusive(point, front, ref)
+            exclusive = np_exclusive(point, front, ref, tally)
             front = front[~np.all(front >= point, axis=1)]
             value += max(exclusive, 0.0)
+            if tally is not None:
+                tally["ops"] += 1
             front = np.vstack([front, point[None, :]])
         values.append(value)
     return values
 
 
-def test_hv_bit_exact_against_numpy_kernel(monkeypatch):
-    rng = np.random.default_rng(11)
-    for d in (4, 5):
+def exact_hv(pts, ref):
+    """Hypervolume in rational arithmetic: inclusion-exclusion over the boxes [p, ref].
+
+    Every float is a rational, so this is exact. Duplicates and weakly
+    dominated points add nothing to the union and are dropped first, by
+    exact comparisons, to keep the 2^n subsets few. pts lie inside ref.
+    """
+    ref = tuple(map(Fraction, ref))
+    distinct = {tuple(map(Fraction, p)) for p in np.asarray(pts, dtype=float).tolist()}
+    kept = [p for p in distinct if not any(q != p and all(map(operator.le, q, p)) for q in distinct)]
+    total = Fraction(0)
+    for r in range(1, len(kept) + 1):
+        for subset in itertools.combinations(kept, r):
+            total += (-1) ** (r + 1) * math.prod(side - max(corner) for side, *corner in zip(ref, *subset))
+    return total
+
+
+def counted(kernel, *args):
+    """kernel(*args) on floats that count each +, - and * done with them: (value, count).
+
+    args are floats, tuples of floats and lists of such tuples. Each
+    operation rounds as it does on plain floats and comparisons are float's,
+    so value has the bits of the plain run and count is its number of rounded
+    operations (a product by math.prod's start 1 counts too, which only
+    loosens a bound).
+    """
+    count = 0
+
+    def counting(op):
+        def counted_op(a, b):
+            nonlocal count
+            count += 1
+            return Counting(op(float(a), float(b)))
+
+        return counted_op
+
+    class Counting(float):
+        __add__ = __radd__ = counting(operator.add)
+        __mul__ = __rmul__ = counting(operator.mul)
+        __sub__ = counting(operator.sub)
+        __rsub__ = counting(lambda a, b: b - a)
+
+    def wrap(x):
+        return Counting(x) if isinstance(x, float) else type(x)(map(wrap, x))
+
+    value = kernel(*map(wrap, args))
+    return float(value), count
+
+
+def counted_hypervolume(pts, ref):
+    """hypervolume(pts, ref) for pts inside ref, and the rounded operations it takes."""
+    value, ops = counted(metrics._hv, metrics._reduce(list(map(tuple, pts.tolist()))), tuple(ref.tolist()))
+    assert value == hypervolume(pts, ref)  # the counted run is the same computation
+    return value, ops
+
+
+def counted_incremental(pts, ref):
+    """IncrementalHypervolume(ref).add_all(pts) and the rounded operations it takes:
+    each admitted point's exclusive volume and the sum that adds it."""
+    acc = IncrementalHypervolume(ref)
+    ops = 0
+    for p in pts:
+        point = acc.admit(p)
+        if point is not None:
+            ops += counted(metrics._exclusive, point, acc.front, acc.reference)[1] + 1
+        acc.add(p)
+    return acc.value, ops
+
+
+def error_bound(ops, pts, ref):
+    """gamma_ops * vol(B), B the bounding box [min pts, ref]: see the test below."""
+    u = Fraction(1, 2**53)
+    volume = math.prod(Fraction(r) - Fraction(m) for r, m in zip(ref.tolist(), np.min(pts, axis=0).tolist()))
+    return ops * u / (1 - ops * u) * volume
+
+
+def awkward_set(rng, n, d):
+    """n uniform points in [0, 1]^d with coordinates shared with the first
+    point, ties in the last objective, two duplicates and two dominated copies."""
+    pts = rng.uniform(0, 1, size=(n, d))
+    pts = np.where(rng.random((n, d)) < 0.3, pts[0], pts)
+    pts[1::3, -1] = pts[0, -1]
+    pts = np.vstack([pts, pts[:2], pts[:2] + 0.25])
+    return pts[rng.permutation(len(pts))]
+
+
+def test_hv_float_kernels_within_derived_bound_of_exact_value():
+    """Both float kernels stay within gamma_N * vol(B) of the exact hypervolume.
+
+    The bound is derived, not tuned to pass. Each rounded operation (a side
+    ref_j - p_j, a product or a sum) returns its exact result times 1 + delta
+    with |delta| <= u = 2^-53. Comparisons and max() see only input
+    coordinates, which are exact, so a float run takes the branches of the
+    exact one; the incremental forms also clip each exclusive volume at 0,
+    which only moves it toward its nonnegative exact value. Every value
+    either kernel computes is, in exact arithmetic, a length, area or volume
+    inside the bounding box B = [min_i p_i, ref] or a face of it, and it
+    enters the result multiplied by at most the sides of B it lacks: by 1 in
+    the in-dimension recursion's nested sums and differences, by the
+    sliced-off sides in the plain-float kernel, and by the remaining height
+    inside the 3-D sweep. A delta on one operation thus moves the result by
+    at most u * vol(B) to first order, and N operations by at most
+    N * u * vol(B); the products of deltas are covered by
+    gamma_N = N u / (1 - N u) >= (1 + u)^N - 1 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Lemma 3.1). N is counted for
+    each run: the reference kernel tallies its operations, and the
+    plain-float kernel runs on a float subclass that counts them.
+    """
+    rng = np.random.default_rng(12)
+    for d in (4, 5, 6):
         for trial in range(12):
-            n = int(rng.integers(2, 20))
-            if trial % 2:
-                pts, ref = rng.integers(0, 4, size=(n, d)).astype(float), np.full(d, 4.5)
-            else:
-                pts, ref = rng.uniform(0, 1, size=(n, d)), rng.uniform(1.3, 1.8, size=d)
+            pts = awkward_set(rng, 2 + trial, d)
+            ref = rng.uniform(1.3, 1.8, size=d)
+            exact = exact_hv(pts, ref)
+            tally, incremental_tally = collections.Counter(), collections.Counter()
+            runs = (
+                counted_hypervolume(pts, ref),
+                counted_incremental(pts, ref),
+                (np_hv(np_reduce(pts), ref, tally), tally["ops"]),
+                (np_incremental_values(pts, ref, incremental_tally)[-1], incremental_tally["ops"]),
+            )
+            for value, ops in runs:
+                assert abs(Fraction(value) - exact) <= error_bound(ops, pts, ref)
+
+
+def test_hv_bit_exact_against_numpy_kernel():
+    # Coordinates are multiples of 1/4 and every side is at most 4.5, so in
+    # six dimensions or fewer every product, sum and difference is a multiple
+    # of 2^-12 below 2^14: no operation rounds, and both kernels and their
+    # incremental forms give the exact value, bit for bit.
+    rng = np.random.default_rng(11)
+    for d in (4, 5, 6):
+        for trial in range(12):
+            n = 2 + trial % 8
+            top = 3 if trial % 2 else 4
+            pts, ref = rng.integers(0, top, size=(n, d)).astype(float), np.full(d, top + 0.5)
             # exact duplicates and a dominated copy of each of the first points
             pts = np.vstack([pts, pts[:3], pts[:3] + 0.25])
             pts = pts[rng.permutation(len(pts))]
-            assert hypervolume(pts, ref) == np_hv(np_reduce(pts), ref)
+            assert hypervolume(pts, ref) == np_hv(np_reduce(pts), ref) == exact_hv(pts, ref)
             acc = IncrementalHypervolume(ref)
             assert [acc.add(p) for p in pts] == np_incremental_values(pts, ref)
-    # Sets of two to four points, so clipped subproblems have one or two
-    # points. Copied coordinates make clipped points tie the clipping point.
-    sizes = collections.Counter()  # points per _hv call, recursive calls included
-    hv = metrics._hv
-
-    def counted_hv(pts, ref):
-        sizes[len(pts)] += 1
-        return hv(pts, ref)
-
-    monkeypatch.setattr(metrics, "_hv", counted_hv)
-    for d in (4, 5):
-        for trial in range(60):
-            n = 2 + trial % 3
-            if trial % 4 == 3:
-                pts, ref = rng.integers(0, 3, size=(n, d)).astype(float), np.full(d, 3.5)
-            else:
-                pts, ref = rng.uniform(0, 1, size=(n, d)), rng.uniform(1.3, 1.8, size=d)
-                pts = np.where(rng.random((n, d)) < 0.3, pts[0], pts)
-            assert hypervolume(pts, ref) == np_hv(np_reduce(pts), ref)
-            acc = IncrementalHypervolume(ref)
-            assert [acc.add(p) for p in pts] == np_incremental_values(pts, ref)
-    assert sizes[1] > 100 and sizes[2] > 50, sizes
 
 
 # ----- incremental hypervolume -----
