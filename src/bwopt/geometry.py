@@ -156,10 +156,6 @@ class Layout:
         """Non-degenerate segments over all breakwaters, as plain floats."""
         return polyline_segments(self.breakwaters)
 
-    def total_length(self) -> float:
-        """Total polyline length in cell units."""
-        return float(sum(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in self.segments()))
-
 
 def polyline_segments(polylines) -> list[tuple[tuple[float, float], tuple[float, float]]]:
     """Non-degenerate ((x0, y0), (x1, y1)) plain-float segments of the polylines, in order.
@@ -171,6 +167,11 @@ def polyline_segments(polylines) -> list[tuple[tuple[float, float], tuple[float,
         points = [tuple(v) for v in np.asarray(verts, dtype=float).tolist()]
         out.extend((p, q) for p, q in zip(points[:-1], points[1:]) if p != q)
     return out
+
+
+def total_length(segments) -> float:
+    """Summed length of ((x0, y0), (x1, y1)) segments, in cell units."""
+    return float(sum(math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in segments))
 
 
 def total_blocks(attachments: list[Attachment]) -> int:

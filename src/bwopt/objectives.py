@@ -15,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Genotype,
-    Layout,
-    count_crossings,
-    decode,
-    min_distance_to_fairway,
-    polyline_segments,
-    rasterize,
-)
-from .wave import ObstacleSet, sample
+from .geometry import Genotype, count_crossings, decode, min_distance_to_fairway, rasterize, total_length
+from .wave import ObstacleSet, sample, with_obstacles
 
 DENOMINATOR_EPS = 1e-6
 DEFAULT_VIOLATION_PENALTY = 1e6
@@ -82,9 +74,9 @@ class Baseline:
     field: np.ndarray          # existing-structures-only wave field, kept for export
 
 
-def cost(layout: Layout, cell_size: float) -> float:
-    """Construction cost proxy: total new structure length in meters."""
-    return layout.total_length() * cell_size
+def cost(segments, cell_size: float) -> float:
+    """Construction cost proxy: total length in meters of a layout's segments."""
+    return total_length(segments) * cell_size
 
 
 def simulate_layout(cells, scenario) -> np.ndarray:
@@ -95,13 +87,25 @@ def simulate_layout(cells, scenario) -> np.ndarray:
     )
 
 
-def _layout_constraints(layout: Layout, cells, scenario) -> tuple[int, int, int]:
+def wave_heights(cells, scenario) -> np.ndarray:
+    """Wave heights at the control points with the existing structures plus the given rasterized cells.
+
+    A wave model with a heights method (the built-in one) gets the
+    scenario's coefficient grid with the cells written in; one with only
+    simulate returns a full field, which is sampled.
+    """
+    model = scenario.wave_model
+    if not hasattr(model, "heights"):
+        return sample(simulate_layout(cells, scenario), scenario.control_points)
+    coefficients = with_obstacles(scenario.coefficients, cells, scenario.grid.n_cols)
+    return model.heights(scenario.grid, coefficients, scenario.boundary, scenario.control_points)
+
+
+def _layout_constraints(segments, cells, scenario) -> tuple[int, int, int]:
     """(Self and existing-structure crossings, fairway crossings, cells of `cells` on land)."""
-    segments = layout.segments()
     return (
-        count_crossings(segments)
-        + count_crossings(segments, polyline_segments(scenario.existing_polylines)),
-        count_crossings(segments, polyline_segments([scenario.fairway])),
+        count_crossings(segments) + count_crossings(segments, scenario.existing_segments),
+        count_crossings(segments, scenario.fairway_segments),
         sum(1 for (col, row), _ in cells if scenario.grid.land_mask[row, col]),
     )
 
@@ -114,31 +118,32 @@ def constraint_counts(genotype: Genotype, scenario) -> tuple[int, int, int]:
     """
     layout = decode(genotype, scenario.attachments)
     cells = rasterize(layout, scenario.grid, scenario.transmission)
-    return _layout_constraints(layout, cells, scenario)
+    return _layout_constraints(layout.segments(), cells, scenario)
 
 
 def evaluate(genotype: Genotype, scenario) -> ObjectiveVector:
     """Evaluate one candidate against a scenario.
 
-    The layout is rasterized once; the same cells give the land-coverage
+    The layout's segments are built once, for the crossing counts and the
+    cost, and it is rasterized once; the same cells give the land-coverage
     count and, for a feasible candidate, the obstacles of the wave model.
-    Constraint-violating candidates skip the wave simulation and inherit the
+    Constraint-violating candidates skip the wave model and inherit the
     baseline wave heights; cost and clearance are still their own, so the
     violation shows up as cost without protection benefit.
     """
     layout = decode(genotype, scenario.attachments)
+    segments = layout.segments()
     cells = rasterize(layout, scenario.grid, scenario.transmission)
-    self_x, fairway_x, land = _layout_constraints(layout, cells, scenario)
+    self_x, fairway_x, land = _layout_constraints(segments, cells, scenario)
     nav = min_distance_to_fairway(
         layout, scenario.fairway, scenario.grid.cell_size, scenario.nav_sampling_step
     )
     if self_x + fairway_x + land == 0:
-        field = simulate_layout(cells, scenario)
-        heights = sample(field, scenario.control_points)
+        heights = wave_heights(cells, scenario)
     else:
         heights = scenario.baseline.wave_heights.copy()
     return ObjectiveVector(
-        cost=cost(layout, scenario.grid.cell_size),
+        cost=cost(segments, scenario.grid.cell_size),
         nav_distance=nav,
         wave_heights=heights,
         self_intersections=self_x,

@@ -45,6 +45,7 @@ from .wave import (
     BoundaryConditions,
     ObstacleSet,
     ShadowDiffusionModel,
+    coefficient_grid,
     sample,
 )
 
@@ -108,7 +109,10 @@ class Scenario:
     # filled by finalize()
     wave_model: object = None
     existing_polylines: list[np.ndarray] = field(default_factory=list)
+    existing_segments: list = field(default_factory=list)  # geometry.polyline_segments of the above
+    fairway_segments: list = field(default_factory=list)
     existing_obstacles: ObstacleSet = field(default_factory=ObstacleSet)
+    coefficients: np.ndarray | None = None  # wave.coefficient_grid of the existing structures
     baseline: Baseline | None = None
 
     @property
@@ -127,16 +131,18 @@ class Scenario:
             breakwaters=list(self.existing_polylines),
             materials=[mat for _, mat in self.existing_structures],
         )
-        self.existing_obstacles = ObstacleSet.from_pairs(
-            rasterize(existing_layout, self.grid, self.transmission)
-        )
+        self.existing_segments = existing_layout.segments()
+        self.fairway_segments = polyline_segments([self.fairway])
+        existing_cells = rasterize(existing_layout, self.grid, self.transmission)
+        self.existing_obstacles = ObstacleSet.from_pairs(existing_cells)
+        self.coefficients = coefficient_grid(self.grid, existing_cells)
         base_field = self.wave_model.simulate(self.grid, self.existing_obstacles, self.boundary)
         self.baseline = Baseline(
             wave_heights=sample(base_field, self.control_points),
             nav_distance=min_distance_to_fairway(
                 existing_layout, self.fairway, self.grid.cell_size, self.nav_sampling_step
             ),
-            cost_ref=cost(existing_layout, self.grid.cell_size),
+            cost_ref=cost(self.existing_segments, self.grid.cell_size),
             field=base_field,
         )
         problems = self._baseline_violations()

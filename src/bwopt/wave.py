@@ -2,23 +2,22 @@
 
 The built-in model is a fast stand-in with the qualitative behaviour layout
 optimization needs (shadowing behind obstacles, soft shadow edges), not a
-physical solver. It runs in two stages:
+physical solver. It reads a coefficient grid: every cell's transmission
+coefficient, flat and row-major, 1.0 for no obstacle and 0.0 on land, plus
+one 1.0 sentinel for rays that have left the grid. It runs in two stages:
 
-1. Shadowing: for every water cell, a straight ray is traced against the
-   wave travel direction until it leaves the grid. The cell height is the
-   incident height times the product of the transmission coefficients of
-   every obstacle cell the ray crosses. Land blocks waves completely.
-   All rays are parallel, so the cells whose ray crosses land (the land
-   shadow) depend only on the land mask and the direction; they are found
-   once per grid and direction and cached. Every other cell only multiplies
-   the coefficients of the obstacle cells on its ray, in path order: the
-   skipped factors are exactly 1.0, so the result is bit-identical to
-   multiplying along every ray cell by cell.
+1. Shadowing: a cell's height is the incident height times the product of
+   the coefficients of the cells its upwave ray crosses, in path order,
+   until the ray leaves the grid. Land blocks waves completely.
 2. Diffusion: a fixed number of 3x3 neighbor-averaging passes restricted to
    water cells, which smears shadow edges.
 
+One kernel runs both stages over a box of cells: `simulate` over the whole
+grid, ShadowDiffusionModel.heights over only the cells that sampling a few
+points reads, grown by one cell per diffusion pass, with the same bits.
+
 A real solver can be plugged in through FileExchangeWaveModel, which talks
-plain-text files in a work directory.
+plain-text files in a work directory and exchanges a full field per run.
 """
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ import os
 import subprocess
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +37,7 @@ DEFAULT_TRANSMISSION = {Material.SOLID_WALL: 0.1, Material.TETRAPOD: 0.35}
 DEFAULT_DIFFUSION_PASSES = 3
 
 STDERR_TAIL_CHARS = 2000  # how much of a failing solver's stderr an error quotes
+BAND_CELLS = 2048  # cells per box of full-grid simulate, which bounds its gather table
 
 _NEIGHBOR_SHIFTS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
 
@@ -87,50 +87,137 @@ class ObstacleSet:
             cells[cell] = coeff if prev is None else min(prev, coeff)
         return out
 
-    def __len__(self) -> int:
-        return len(self.cells)
 
+def coefficient_grid(grid: ScenarioGrid, cells) -> np.ndarray:
+    """The coefficient grid of distinct ((col, row), coefficient) obstacle cells.
 
-@lru_cache(maxsize=32)
-def _grid_tables(
-    wave_direction: float, shape: tuple[int, int], land_bytes: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables of one grid and wave direction, built once.
-
-    Keyed by value, so two grids with the same shape and a different land
-    mask never share an entry. Returns
-      offsets  supercover cell offsets of the upwave ray from a cell center,
-               in path order: a (K, 2) int array of (dx, dy) rows, row 0 the
-               cell itself. All rays are parallel, so one template traced
-               from the origin serves every cell;
-      shadow   mask of the cells whose upwave ray crosses land (land included);
-      masks    per-neighbor-shift float masks of in-grid water neighbors;
-      count    1 + the sum of masks.
+    Flat and row-major: a cell holds 1.0 where there is no obstacle, 0.0 on
+    land, else its obstacle coefficient. Cells off the grid are dropped. One
+    1.0 sentinel follows the grid's cells; a ray that has left the grid
+    reads it.
     """
-    rows, cols = shape
+    rows, cols = grid.n_rows, grid.n_cols
+    coefficients = np.ones(rows * cols + 1)
+    coefficients[:-1][grid.land_mask.ravel()] = 0.0
+    on_grid = [(cell, coeff) for cell, coeff in cells if 0 <= cell[0] < cols and 0 <= cell[1] < rows]
+    return with_obstacles(coefficients, on_grid, cols)
+
+
+def with_obstacles(coefficients: np.ndarray, cells, n_cols: int) -> np.ndarray:
+    """A copy of a coefficient grid with distinct in-grid ((col, row), coefficient) cells written in.
+
+    Each cell keeps the smaller of its old and new coefficient, as merging
+    two ObstacleSets does; land stays 0.0.
+    """
+    out = coefficients.copy()
+    if cells:
+        index = [row * n_cols + col for (col, row), _ in cells]
+        out[index] = np.minimum(out[index], [coeff for _, coeff in cells])
+    return out
+
+
+class _Box(NamedTuple):
+    """Read-only tables of the kernel over a box of shape cells at origin (row, col).
+
+    Box cells are numbered row-major, n of them.
+      rays       (offsets, n) flat grid index of the cell each box cell's
+                 upwave ray reaches at each offset, in path order, row 0 the
+                 cell itself; the sentinel once the ray is off the grid.
+                 Offsets at which every ray is off the grid are left out;
+      neighbors  (8, n) box index of the neighbor at each of _NEIGHBOR_SHIFTS,
+                 n (a 0.0 sentinel) outside the box;
+      masks      (8, n) 1.0 where that neighbor is a water cell of the grid;
+      count      1 + the sum of masks;
+      land       box indices of land cells.
+    """
+
+    origin: tuple[int, int]
+    shape: tuple[int, int]
+    rays: np.ndarray
+    neighbors: np.ndarray
+    masks: np.ndarray
+    count: np.ndarray
+    land: np.ndarray
+
+
+def _box(wave_direction: float, land: np.ndarray, rows: range, cols: range) -> _Box:
+    """The kernel's tables over the box rows x cols of a grid with this land mask."""
+    n_rows, n_cols = land.shape
     theta = math.radians(wave_direction)
-    reach = math.hypot(cols, rows) + 2.0
+    reach = math.hypot(n_cols, n_rows) + 2.0
     end = (-reach * math.cos(theta), -reach * math.sin(theta))
     offsets = np.array(supercover_line((0.0, 0.0), end), dtype=np.intp)
+    # a ray cell off the grid reads the sentinel, n_cells: its row or column
+    # term is n_cells, so the sum is at least n_cells and np.minimum clips it
+    n_cells = n_rows * n_cols
+    ray_rows = np.arange(rows.start, rows.stop) + offsets[:, 1:]  # (offsets, box rows)
+    ray_cols = np.arange(cols.start, cols.stop) + offsets[:, :1]  # (offsets, box columns)
+    row_in = (ray_rows >= 0) & (ray_rows < n_rows)
+    col_in = (ray_cols >= 0) & (ray_cols < n_cols)
+    reaches = row_in.any(axis=1) & col_in.any(axis=1)
+    row_terms = np.where(row_in, ray_rows * n_cols, n_cells)[reaches]
+    col_terms = np.where(col_in, ray_cols, n_cells)[reaches]
+    rays = row_terms[:, :, None] + col_terms[:, None, :]
+    np.minimum(rays, n_cells, out=rays)
 
-    land = np.frombuffer(land_bytes, dtype=bool).reshape(shape)
-    shadow = np.zeros(shape, dtype=bool)
-    for ox, oy in offsets:
-        r0, r1 = max(0, -oy), min(rows, rows - oy)
-        c0, c1 = max(0, -ox), min(cols, cols - ox)
-        if r0 < r1 and c0 < c1:
-            shadow[r0:r1, c0:c1] |= land[r0 + oy : r1 + oy, c0 + ox : c1 + ox]
-
-    padded = np.zeros((rows + 2, cols + 2))
-    padded[1:-1, 1:-1] = ~land
-    masks = np.stack([padded[1 + dy : 1 + dy + rows, 1 + dx : 1 + dx + cols] for dy, dx in _NEIGHBOR_SHIFTS])
-    count = np.ones(shape)  # the cell itself; land cells never read it
-    for mask in masks:
-        count += mask
-
-    for table in (offsets, shadow, masks, count):
+    # flat indices into the grid padded by one cell, whose border is neither
+    # water nor in the box
+    width = n_cols + 2
+    r, c = np.divmod(np.arange(len(rows) * len(cols)), len(cols))
+    cells = (r + rows.start + 1) * width + (c + cols.start + 1)
+    around = cells + np.array([dy * width + dx for dy, dx in _NEIGHBOR_SHIFTS])[:, None]
+    water = np.zeros((n_rows + 2, width), dtype=bool)
+    water[1:-1, 1:-1] = ~land
+    index = np.full(water.size, len(cells))
+    index[cells] = np.arange(len(cells))
+    masks = water.ravel()[around].astype(float)
+    box = _Box(
+        origin=(rows.start, cols.start),
+        shape=(len(rows), len(cols)),
+        rays=rays.reshape(len(rays), -1),
+        neighbors=index[around],
+        masks=masks,
+        count=1.0 + masks.sum(axis=0),
+        land=np.flatnonzero(land[rows.start : rows.stop, cols.start : cols.stop]),
+    )
+    for table in (box.rays, box.neighbors, box.masks, box.count, box.land):
         table.flags.writeable = False
-    return offsets, shadow, masks, count
+    return box
+
+
+def _shadow_diffuse(coefficients: np.ndarray, box: _Box, incident_height: float, passes: int) -> np.ndarray:
+    """Heights over the box's cells, shaped box.shape: the one shadow-and-diffuse kernel.
+
+    Shadowing multiplies the coefficients gathered through box.rays down the
+    rows, so each cell multiplies in its ray's coefficients in path order.
+    Every factor off the obstacles is exactly 1.0 and leaves the product
+    unchanged, and a ray that crosses land multiplies in 0.0.
+
+    Each diffusion pass adds the mean neighbor difference (update form, so a
+    constant field passes through bit-exactly). The 8 differences are masked
+    (0.0 for land and off-grid neighbors) and summed in _NEIGHBOR_SHIFTS
+    order. A masked term is +-0.0, which changes no nonzero sum and at most
+    the sign of a zero one, which adding it to a height loses; so the sum is
+    that of the water neighbors alone. Land is reset to 0.0 after each pass.
+
+    Neighbors outside the box read 0.0. The wrong values this leaves on the
+    box's edge move inward one cell per pass, so a box grown by one cell
+    per pass around the cells that matter keeps those exact.
+    """
+    field = np.empty(box.rays.shape[1] + 1)
+    field[-1] = 0.0
+    heights = field[:-1]
+    np.multiply.reduce(coefficients[box.rays], axis=0, out=heights)
+    heights *= incident_height
+    for _ in range(passes):
+        terms = field[box.neighbors]
+        terms -= heights
+        terms *= box.masks
+        delta = np.add.reduce(terms, axis=0)
+        delta /= box.count
+        heights += delta
+        heights[box.land] = 0.0
+    return heights.reshape(box.shape)
 
 
 def simulate(
@@ -139,15 +226,11 @@ def simulate(
     boundary: BoundaryConditions,
     diffusion_passes: int = DEFAULT_DIFFUSION_PASSES,
 ) -> np.ndarray:
-    """Simulate the wave height field on the grid.
+    """Simulate the wave height field on the whole grid.
 
-    Every cell starts at 1.0 and multiplies in the coefficient of each
-    in-grid obstacle cell on its ray, in path order; the cells skipped have
-    coefficient 1.0, and multiplying by 1.0 is exact, so each product is
-    bit-identical to the cell-by-cell product along the whole ray. A ray
-    that crosses land gives 0.0 whatever else it crosses, so the cached land
-    shadow then sets those cells to 0.0, whatever obstacles (land ones
-    included) they multiplied in.
+    The kernel runs over bands of whole rows of about BAND_CELLS cells, each
+    grown by one row per diffusion pass on both sides, which keeps the rows
+    of the band exact; so the gather table stays small whatever the grid.
 
     Args:
         grid: bathymetry grid; land cells block waves entirely.
@@ -160,63 +243,43 @@ def simulate(
         within [0, incident_height].
     """
     rows, cols = grid.n_rows, grid.n_cols
-    land = grid.land_mask
-    offsets, shadow, masks, count = _grid_tables(boundary.wave_direction, land.shape, land.tobytes())
-
-    n_cells = rows * cols
-    factor = np.ones(n_cells)
-    if obstacles.cells:
-        n = len(obstacles.cells)
-        cells = np.fromiter(chain.from_iterable(obstacles.cells), dtype=np.intp, count=2 * n)
-        col, row = cells[0::2], cells[1::2]
-        coeffs = np.fromiter(obstacles.cells.values(), dtype=float, count=n)
-        keep = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
-        col, row, coeffs = col[keep], row[keep], coeffs[keep]
-        # (offset, obstacle) pairs, k-major: the downwave cell of obstacle j
-        # at offset k is [k, j]; in that order every cell multiplies in its
-        # obstacle coefficients in ray-path order
-        target_col = col - offsets[:, :1]
-        target = (row * cols + col) - (offsets[:, 1:] * cols + offsets[:, :1])
-        hit = (target_col >= 0) & (target_col < cols) & (target >= 0) & (target < n_cells)
-        np.multiply.at(factor, target[hit], np.broadcast_to(coeffs, hit.shape)[hit])
-    factor = factor.reshape(rows, cols)
-    factor[shadow] = 0.0
-
-    field = boundary.incident_height * factor
-    if diffusion_passes > 0:
-        field = _diffuse(field, land, masks, count, diffusion_passes)
+    coefficients = coefficient_grid(grid, obstacles.cells.items())
+    field = np.empty((rows, cols))
+    band = max(1, BAND_CELLS // cols - 2 * diffusion_passes)
+    for top in range(0, rows, band):
+        box_rows = range(max(0, top - diffusion_passes), min(rows, top + band + diffusion_passes))
+        box = _box(boundary.wave_direction, grid.land_mask, box_rows, range(cols))
+        part = _shadow_diffuse(coefficients, box, boundary.incident_height, diffusion_passes)
+        field[top : top + band] = part[top - box_rows.start :][:band]
     return field
 
 
-def _diffuse(
-    field: np.ndarray, land: np.ndarray, masks: np.ndarray, count: np.ndarray, passes: int
-) -> np.ndarray:
-    """Neighbor-averaging passes over water cells, with masks and count from _grid_tables.
+@lru_cache(maxsize=32)
+def _point_box(
+    wave_direction: float, land_bytes: bytes, shape: tuple[int, int], passes: int, points_bytes: bytes
+) -> tuple[_Box, list[tuple[float, float]]]:
+    """The box that heights at these points need, and the points in box coordinates.
 
-    Written in update form (cell + mean neighbor difference) so a constant
-    field passes through bit-exactly. Each pass reads the neighbors from a
-    zero-padded copy and multiplies every difference by a float mask that
-    is 0.0 for land and off-grid neighbors. A masked term is +-0.0, and
-    adding it to the accumulator, which starts at +0.0, leaves it
-    unchanged, so the sum is bit-identical to adding only the water
-    neighbors' differences.
+    Cached by value, so two grids of one shape but different land never
+    share an entry. The box holds the 2x2 cells
+    that sample reads around each point, grown by one cell per diffusion
+    pass and clipped to the grid. The points are clamped as sample clamps
+    them, then shifted by the box's origin; the shifts are whole numbers no
+    larger than the clamped coordinates, so they are exact, and sample reads
+    the same cells with the same weights in the box.
     """
-    rows, cols = field.shape
-    padded = np.zeros((rows + 2, cols + 2))
-    out = padded[1:-1, 1:-1]
-    out[...] = field
-    delta = np.empty_like(field)
-    term = np.empty_like(field)
-    for _ in range(passes):
-        delta.fill(0.0)
-        for (dy, dx), mask in zip(_NEIGHBOR_SHIFTS, masks):
-            np.subtract(padded[1 + dy : 1 + dy + rows, 1 + dx : 1 + dx + cols], out, out=term)
-            term *= mask
-            delta += term
-        delta /= count
-        out += delta
-        out[land] = 0.0
-    return out.copy()
+    n_rows, n_cols = shape
+    land = np.frombuffer(land_bytes, dtype=bool).reshape(shape)
+    clamped = [
+        (min(max(x, 0.0), n_cols - 1.0), min(max(y, 0.0), n_rows - 1.0))
+        for x, y in np.frombuffer(points_bytes).reshape(-1, 2).tolist()
+    ]
+    gx = [min(math.floor(x), n_cols - 2) for x, _ in clamped]
+    gy = [min(math.floor(y), n_rows - 2) for _, y in clamped]
+    rows = range(max(0, min(gy) - passes), min(n_rows, max(gy) + 2 + passes))
+    cols = range(max(0, min(gx) - passes), min(n_cols, max(gx) + 2 + passes))
+    box = _box(wave_direction, land, rows, cols)
+    return box, [(x - cols.start, y - rows.start) for x, y in clamped]
 
 
 def sample(field: np.ndarray, points) -> np.ndarray:
@@ -247,6 +310,20 @@ class ShadowDiffusionModel:
 
     def simulate(self, grid, obstacles, boundary) -> np.ndarray:
         return simulate(grid, obstacles, boundary, self.diffusion_passes)
+
+    def heights(self, grid, coefficients, boundary, points) -> np.ndarray:
+        """Heights at the points, the same bits as sample(self.simulate(...), points).
+
+        coefficients is the coefficient grid of every obstacle (see
+        coefficient_grid). Only the box the points need is computed.
+        """
+        land = grid.land_mask
+        points = np.asarray(points, dtype=float)
+        box, shifted = _point_box(
+            boundary.wave_direction, land.tobytes(), land.shape, self.diffusion_passes, points.tobytes()
+        )
+        field = _shadow_diffuse(coefficients, box, boundary.incident_height, self.diffusion_passes)
+        return sample(field, shifted)
 
 
 class FileExchangeWaveModel:

@@ -123,7 +123,7 @@ def test_criterion_01_encoding_round_trip(harbor):
 def test_criterion_02_objective_formulas(harbor):
     triangle = Layout(breakwaters=[np.array([[0.0, 0.0], [3.0, 4.0]])],
                       materials=[Material.SOLID_WALL])
-    cost_ok = cost(triangle, 25.0) == 125.0
+    cost_ok = cost(triangle.segments(), 25.0) == 125.0
 
     b = harbor.baseline
     base_raw = ObjectiveVector(
@@ -139,7 +139,7 @@ def test_criterion_02_objective_formulas(harbor):
     check(
         2, "objective formulas",
         cost_ok and rel_err <= 1e-12 and abs(score - 1.0) <= 1e-12,
-        f"3-4-5 cost {cost(triangle, 25.0)!r} m, baseline rel error {rel_err:.1e}, "
+        f"3-4-5 cost {cost(triangle.segments(), 25.0)!r} m, baseline rel error {rel_err:.1e}, "
         f"base score {score!r}",
     )
 

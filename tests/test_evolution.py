@@ -534,7 +534,8 @@ class CostOnlyScenario:
         self.grid = inner.grid
         self.transmission = inner.transmission
         self.fairway = inner.fairway
-        self.existing_polylines = inner.existing_polylines
+        self.existing_segments = inner.existing_segments
+        self.fairway_segments = inner.fairway_segments
         self.init = inner.init
         self.gene_levels = None
         self.n_blocks = inner.n_blocks
@@ -542,7 +543,7 @@ class CostOnlyScenario:
     def evaluate(self, genotype):
         layout = decode(genotype, self.attachments)
         return ObjectiveVector(
-            cost=cost(layout, self.grid.cell_size),
+            cost=cost(layout.segments(), self.grid.cell_size),
             nav_distance=100.0,
             wave_heights=np.array([1.0]),
             self_intersections=0,

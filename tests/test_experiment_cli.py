@@ -352,6 +352,26 @@ def test_experiment_with_stub_solver_same_for_any_worker_count(tmp_path, monkeyp
     assert trees[1] == trees[0]
 
 
+def test_stub_solver_tree_equals_the_builtin_tree(tmp_path):
+    # the external path exchanges full fields and samples them; the built-in
+    # path computes heights over the control points' box only
+    from bwopt.scenario import build_scenario
+    from bwopt.wave import FileExchangeWaveModel
+
+    stub = Path(__file__).resolve().parent / "stub_solver.py"
+    plan = plan_from_dict(plan_dict(seeds=[1, 2], generations=2, population_size=4, archive_size=4,
+                                    variants=[{"algorithm": "spea2", "encoding": "angular"},
+                                              {"algorithm": "de", "encoding": "angular"}]))
+    run_experiment(plan, build_scenario(scenario_dict()), tmp_path / "builtin")
+    scenario = build_scenario(scenario_dict())
+    scenario.wave_model = FileExchangeWaveModel([sys.executable, str(stub), "3"], tmp_path / "work")
+    run_experiment(plan, scenario, tmp_path / "external")
+    builtin, external = tree_bytes(tmp_path / "builtin"), tree_bytes(tmp_path / "external")
+    assert len(builtin) == 24
+    assert list(external) == list(builtin)
+    assert [name for name in builtin if external[name] != builtin[name]] == []
+
+
 # ----- CLI -----
 
 def test_cli_validate_ok(tmp_path, capsys):

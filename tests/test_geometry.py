@@ -24,6 +24,7 @@ from bwopt.geometry import (
     sample_polyline,
     segments_cross,
     supercover_line,
+    total_length,
     _fairway_samples,
     _min_sample_distance,
     _sample_family,
@@ -465,7 +466,7 @@ def test_cost_3_4_5_triangle():
     # two legs 3 and 4 cells plus the 5-cell hypotenuse closing the triangle
     verts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
     layout = mk_layout(verts)
-    assert layout.total_length() * 25.0 == pytest.approx(300.0, abs=1e-12)
+    assert total_length(layout.segments()) * 25.0 == pytest.approx(300.0, abs=1e-12)
 
 
 def test_cost_of_random_layout_equals_length_sum():
@@ -473,4 +474,4 @@ def test_cost_of_random_layout_equals_length_sum():
     verts = rng.uniform(0, 10, size=(7, 2))
     layout = mk_layout(verts)
     oracle = sum(math.hypot(*(verts[i + 1] - verts[i])) for i in range(6))
-    assert layout.total_length() == pytest.approx(oracle, rel=1e-12)
+    assert total_length(layout.segments()) == pytest.approx(oracle, rel=1e-12)

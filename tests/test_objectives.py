@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from bwopt.evolution import EAConfig, sample_genotype
+from bwopt.experiment import resolve_scenario
 from bwopt.geometry import (
     Encoding,
     Genotype,
@@ -12,6 +14,7 @@ from bwopt.geometry import (
     rasterize,
     segments_cross,
     supercover_line,
+    total_length,
 )
 from bwopt.objectives import (
     Baseline,
@@ -23,6 +26,7 @@ from bwopt.objectives import (
     relativize,
     single_objective,
 )
+from bwopt.wave import ObstacleSet, simulate
 
 
 def raw_vector(**kw):
@@ -48,13 +52,13 @@ def rel_vector(cost=0.0, nav=0.0, waves=(0.0,)):
 
 def test_cost_3_4_5_segment_is_125_m():
     layout = Layout([np.array([[0.0, 0.0], [3.0, 4.0]])], [Material.SOLID_WALL])
-    assert cost(layout, 25.0) == 125.0
+    assert cost(layout.segments(), 25.0) == 125.0
 
 
 def test_cost_scales_with_cell_size():
     layout = Layout([np.array([[0.0, 0.0], [2.0, 0.0]])], [Material.SOLID_WALL])
-    assert cost(layout, 10.0) == 20.0
-    assert cost(layout, 25.0) == 50.0
+    assert cost(layout.segments(), 10.0) == 20.0
+    assert cost(layout.segments(), 25.0) == 50.0
 
 
 # ----- vectors -----
@@ -200,6 +204,58 @@ def test_constraint_counts_match_evaluate(unit_scenario):
         )
 
 
+# ----- the wave model's heights path and its simulate-only fallback -----
+
+class SimulateOnlyModel:
+    """A wave model with simulate and no heights, as an external solver's adapter."""
+
+    def __init__(self, passes):
+        self.passes = passes
+
+    def simulate(self, grid, obstacles, boundary):
+        return simulate(grid, obstacles, boundary, self.passes)
+
+
+def angular_genotypes(scenario, n, seed):
+    rng = np.random.default_rng(seed)
+    return [sample_genotype(EAConfig(encoding=Encoding.ANGULAR), scenario, rng) for _ in range(n)]
+
+
+def counting_obstacle_sets(monkeypatch) -> list:
+    built = []
+    init = ObstacleSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ObstacleSet, "__init__", counting_init)
+    return built
+
+
+def test_builtin_evaluation_builds_no_obstacle_set(harbor_scenario, monkeypatch):
+    built = counting_obstacle_sets(monkeypatch)
+    raws = [harbor_scenario.evaluate(g) for g in angular_genotypes(harbor_scenario, 120, 8)]
+    assert sum(raw.feasible for raw in raws) >= 10
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["sochi_like", "tiny_discrete"])
+def test_model_with_only_simulate_evaluates_like_the_builtin(name, monkeypatch):
+    builtin = resolve_scenario(name)
+    fallback = resolve_scenario(name)
+    fallback.wave_model = SimulateOnlyModel(fallback.diffusion_passes)
+    built = counting_obstacle_sets(monkeypatch)
+    feasible = 0
+    for g in angular_genotypes(builtin, 60, 9):
+        want, got = builtin.evaluate(g), fallback.evaluate(g)
+        assert got.wave_heights.tobytes() == want.wave_heights.tobytes()
+        assert (got.cost, got.nav_distance, got.violations) == (want.cost, want.nav_distance, want.violations)
+        feasible += want.feasible
+    assert feasible >= 5
+    assert len(built) == 2 * feasible  # the layout's cells and their merge with the existing ones
+
+
 # ----- constraint counts against the NumPy-row reference -----
 # The counters below are the pre-refactor implementations, kept as the
 # reference: they walk NumPy vertex rows pair by pair and run their own
@@ -292,7 +348,7 @@ def test_constraint_counts_match_numpy_row_oracle(harbor_scenario, unit_scenario
             cells = [cell for cell, _ in rasterize(layout, grid, scenario.transmission)]
             assert cells == oracle_layout_cells(layout, grid)
             lengths = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in numpy_row_segments(layout)]
-            assert layout.total_length().hex() == float(sum(lengths)).hex()
+            assert total_length(layout.segments()).hex() == float(sum(lengths)).hex()
             totals += expected
             verts = np.concatenate(layout.breakwaters)
             if not all(grid.in_bounds(x, y) for x, y in verts):

@@ -11,9 +11,12 @@ from bwopt.wave import (
     ObstacleSet,
     STDERR_TAIL_CHARS,
     ShadowDiffusionModel,
+    _point_box,
+    coefficient_grid,
     read_field,
     sample,
     simulate,
+    with_obstacles,
     write_field,
 )
 
@@ -201,7 +204,8 @@ def test_diffusion_smears_but_preserves_constants():
 # ----- bit-exact oracle: the dense per-offset kernel -----
 # dense_simulate and dense_diffuse are the earlier kernel kept verbatim as the
 # reference: one whole-grid multiply per ray offset, np.where per shift. The
-# sparse kernel must reproduce every byte of their output.
+# box kernel must reproduce every byte of their output, over the whole grid
+# (simulate) and at points (ShadowDiffusionModel.heights).
 
 NEIGHBOR_SHIFTS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
 
@@ -310,21 +314,131 @@ def test_simulate_matches_dense_kernel_on_long_obstacle_chains():
             assert got.tobytes() == want.tobytes(), (direction, passes)
 
 
+@pytest.mark.parametrize("band_cells", [1, 40])
+def test_simulate_in_narrow_bands_is_bit_identical_to_dense_kernel(band_cells, monkeypatch):
+    # one row per band, then a few rows: every band edge is a box edge
+    import bwopt.wave as wave
+
+    monkeypatch.setattr(wave, "BAND_CELLS", band_cells)
+    rng = np.random.default_rng(77)
+    for trial in range(4):
+        grid = random_grid(rng, int(rng.integers(2, 12)), int(rng.integers(8, 16)))
+        obstacles = random_obstacles(rng, grid)
+        for direction in ORACLE_DIRECTIONS:
+            boundary = BoundaryConditions(H0, direction)
+            for passes in range(4):
+                got = simulate(grid, obstacles, boundary, diffusion_passes=passes)
+                want = dense_simulate(grid, obstacles, boundary, passes)
+                assert got.tobytes() == want.tobytes(), (trial, direction, passes)
+
+
 def test_land_shadow_cache_never_serves_a_stale_shadow():
-    # same shape, different land: a cache keyed by shape or object identity
-    # would hand one grid's shadow to the other
+    # same shape, different land: a cache of heights' box tables keyed by
+    # shape or object identity would hand one grid's tables to the other
     rng = np.random.default_rng(31)
     grids = [random_grid(rng, 16, 12) for _ in range(2)]
     assert grids[0].land_mask.shape == grids[1].land_mask.shape
     assert not np.array_equal(grids[0].land_mask, grids[1].land_mask)
     obstacles = random_obstacles(rng, grids[0])
     boundaries = [BoundaryConditions(H0, 60.0), BoundaryConditions(H0, 250.0)]
+    points = [(3.0, 4.5), (7.25, 6.0)]
+    model = ShadowDiffusionModel(2)
     for _ in range(3):
         for grid in grids:
+            coefficients = coefficient_grid(grid, obstacles.cells.items())
             for boundary in boundaries:
                 got = simulate(grid, obstacles, boundary, diffusion_passes=2)
                 want = dense_simulate(grid, obstacles, boundary, 2)
                 assert got.tobytes() == want.tobytes()
+                heights = model.heights(grid, coefficients, boundary, points)
+                assert heights.tobytes() == sample(want, points).tobytes()
+
+
+# ----- heights over the control points' box, against the dense oracle -----
+
+def edge_points(rng, grid):
+    """Cell centers, points on the last row and column, corners and in-bounds points off the centers."""
+    last_x, last_y = grid.n_cols - 1.0, grid.n_rows - 1.0
+    center = (float(rng.integers(0, grid.n_cols)), float(rng.integers(0, grid.n_rows)))
+    return [
+        [center],
+        [(0.0, 0.0), (last_x, last_y)],
+        [(last_x, 0.0), (0.0, last_y)],
+        [(float(rng.uniform(0.0, last_x)), last_y), (last_x, float(rng.uniform(0.0, last_y)))],
+        [(-0.5, -0.5), (last_x + 0.49, last_y + 0.49)],
+        [tuple(p) for p in rng.uniform(-0.5, [last_x + 0.49, last_y + 0.49], size=(3, 2))],
+    ]
+
+
+def test_heights_are_bit_identical_to_the_dense_kernel():
+    rng = np.random.default_rng(99)
+    border = {"touches": 0, "inside": 0}
+    cases = 0
+    for trial in range(12):
+        shape = (int(rng.integers(2, 30)), int(rng.integers(2, 24))) if trial else (2, 2)
+        grid = random_grid(rng, *shape)
+        obstacle_sets = [ObstacleSet(), random_obstacles(rng, grid)]
+        for direction in ORACLE_DIRECTIONS:
+            boundary = BoundaryConditions(float(rng.uniform(0.5, 3.0)), direction)
+            for obstacles in obstacle_sets:
+                coefficients = coefficient_grid(grid, obstacles.cells.items())
+                for passes in range(4):
+                    field = dense_simulate(grid, obstacles, boundary, passes)
+                    model = ShadowDiffusionModel(passes)
+                    for points in edge_points(rng, grid):
+                        got = model.heights(grid, coefficients, boundary, points)
+                        assert got.tobytes() == sample(field, points).tobytes(), (trial, direction, passes, points)
+                        box, _ = _point_box(direction, grid.land_mask.tobytes(), grid.land_mask.shape,
+                                            passes, np.asarray(points, dtype=float).tobytes())
+                        (r0, c0), (rows, cols) = box.origin, box.shape
+                        edge = r0 == 0 or c0 == 0 or r0 + rows == grid.n_rows or c0 + cols == grid.n_cols
+                        border["touches" if edge else "inside"] += 1
+                        cases += 1
+    assert cases == 12 * len(ORACLE_DIRECTIONS) * 2 * 4 * 6
+    assert border["touches"] > 0 and border["inside"] > 0, border
+
+
+def test_coefficient_grid_marks_land_obstacles_and_the_sentinel():
+    depth = np.full((3, 4), 5.0)
+    depth[2, 0] = LAND
+    grid = ScenarioGrid.from_depth(depth, 25.0)
+    cells = {(1, 0): 0.25, (2, 1): 1.0, (3, 2): 0.0, (0, 2): 0.5, (9, 9): 0.1, (-1, 0): 0.1}
+    got = coefficient_grid(grid, cells.items())
+    want = np.ones(13)
+    want[[1, 6, 8, 11]] = [0.25, 1.0, 0.0, 0.0]
+    assert got.tobytes() == want.tobytes()
+    # (1, 0) keeps its smaller 0.25; (0, 1) takes 0.35
+    added = with_obstacles(got, [((1, 0), 0.5), ((0, 1), 0.35)], grid.n_cols)
+    want[4] = 0.35
+    assert added.tobytes() == want.tobytes()
+    assert got[4] == 1.0  # the input grid is untouched
+
+
+@pytest.mark.filterwarnings("ignore::bwopt.objectives.EvaluationWarning")  # tiny_discrete's +100 % cost
+@pytest.mark.parametrize("name", ["sochi_like", "tiny_discrete"])
+def test_heights_match_the_dense_kernel_on_every_feasible_layout_of_a_run(name, monkeypatch):
+    import bwopt.scenario as scenario_module
+    from bwopt.evolution import EAConfig, run_spea2
+    from bwopt.experiment import resolve_scenario
+    from bwopt.geometry import decode, rasterize
+
+    scenario = resolve_scenario(name)
+    evaluate = scenario_module.evaluate
+    checked = []
+
+    def checked_evaluate(genotype, scn):
+        raw = evaluate(genotype, scn)
+        if raw.feasible:
+            cells = rasterize(decode(genotype, scn.attachments), scn.grid, scn.transmission)
+            obstacles = scn.existing_obstacles.merged_with(ObstacleSet.from_pairs(cells))
+            field = dense_simulate(scn.grid, obstacles, scn.boundary, scn.diffusion_passes)
+            assert raw.wave_heights.tobytes() == sample(field, scn.control_points).tobytes()
+            checked.append(genotype)
+        return raw
+
+    monkeypatch.setattr(scenario_module, "evaluate", checked_evaluate)
+    run_spea2(EAConfig(population_size=10, archive_size=10, generations=4, seed=3), scenario)
+    assert len(checked) >= 10
 
 
 # ----- obstacle set semantics -----
