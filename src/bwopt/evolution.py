@@ -406,6 +406,11 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
     gene forced. Under the greedy mask only the active block's genes
     participate. The better of target and trial survives.
     """
+    if config.population_size < 4 and not config.de_use_ga_operators:
+        raise ValueError(
+            f"DE needs a population_size of at least 4, got {config.population_size}: "
+            "rand/1 needs 3 distinct partners besides the target"
+        )
     rng = np.random.default_rng(config.seed)
     history = RunHistory(algorithm="de", config=config)
     mask = GreedyMask(0, scenario.n_blocks) if config.greedy else None

@@ -188,26 +188,18 @@ def resolve_scenario(spec: str, base_dir: Path | None = None) -> Scenario:
 
 # ----- serialization helpers --------------------------------------------------
 
-def _plain(obj):
-    """Recursively convert numpy containers/scalars to JSON-safe Python."""
+def _json_default(obj):
+    """json.dump hook for the NumPy values the exports hold."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, Encoding):
-        return obj.value
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_plain(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 

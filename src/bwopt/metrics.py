@@ -23,6 +23,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from operator import ge, itemgetter, le, lt, sub
 
 import numpy as np
@@ -109,7 +110,8 @@ def hypervolume(points: np.ndarray, reference: np.ndarray) -> float:
 def _hv(pts: list[Point], ref: Point) -> float:
     """Hypervolume of _reduce output, every point strictly inside ref.
 
-    hypervolume() and IncrementalHypervolume.add drop the other points first.
+    hypervolume(), IncrementalHypervolume.add and run_snapshots drop the other
+    points first.
     2-D and 3-D input is swept; otherwise (d >= 4, or d == 1 where reduced
     input is one point) it is sliced on the last objective. _reduce output
     ascends in that coordinate, so the points before pts[i], clipped into its
@@ -196,18 +198,18 @@ class IncrementalHypervolume:
     """Exact hypervolume of a growing point set, one insertion at a time.
 
     Each added point contributes its exclusive volume against the points
-    already present (zero if dominated or outside the reference box), so a
-    whole convergence series costs one exclusive computation per new front
-    point instead of a from-scratch hypervolume per generation. The running
-    value equals hypervolume() of the union of everything ever added, and it
-    never decreases: exclusive volumes are nonnegative, with float noise
-    clipped at zero.
+    already present (zero if dominated or outside the reference box). The
+    running value equals hypervolume() of the union of everything ever
+    added, and it never decreases: exclusive volumes are nonnegative, with
+    float noise clipped at zero.
 
     The reference and each front point are tuples of plain floats, and
     value is a plain float. Each exclusive volume is computed in the fixed
     order the module docstring describes and added to value in insertion
     order, so a given sequence of points gives the same value to the last
-    bit on every run, and the exported snapshots stay byte-identical.
+    bit on every run. run_snapshots does not use this class: it is the
+    serial reference that the tests replay each run's fronts through, and
+    perfbench counts calls to its add.
     """
 
     def __init__(self, reference: np.ndarray):
@@ -215,39 +217,20 @@ class IncrementalHypervolume:
         self.front: list[Point] = []
         self.value = 0.0
 
-    def admit(self, point: np.ndarray) -> Point | None:
-        """point as a tuple if adding it adds volume, else None; changes nothing.
-
-        A point adds volume when it is strictly inside the reference box and
-        no front point is <= it in every coordinate (a duplicate adds none).
-        """
+    def add(self, point: np.ndarray) -> float:
         point = tuple(np.asarray(point, dtype=float).tolist())
         if len(point) != len(self.reference):
             raise ValueError(
                 f"point is {len(point)}-dimensional, reference is {len(self.reference)}-dimensional"
             )
         if not all(map(lt, point, self.reference)):
-            return None  # dominates nothing inside the reference box
+            return self.value  # dominates nothing inside the reference box
         if any(all(map(le, q, point)) for q in self.front):
-            return None  # dominated (or duplicate): contributes nothing
-        return point
-
-    def insert(self, point: Point) -> None:
-        """Put an admitted point on the front, dropping the points it weakly dominates.
-
-        front becomes a new list, so a front taken before stays as it was.
-        """
+            return self.value  # dominated (or duplicate): contributes nothing
+        exclusive = _exclusive(point, self.front, self.reference)
         self.front = [q for q in self.front if not all(map(ge, q, point))]
+        self.value += max(exclusive, 0.0)
         self.front.append(point)
-
-    def add(self, point: np.ndarray, exclusive: float | None = None) -> float:
-        """Add point; exclusive, if given, is its exclusive volume against front."""
-        point = self.admit(point)
-        if point is not None:
-            if exclusive is None:
-                exclusive = _exclusive(point, self.front, self.reference)
-            self.insert(point)
-            self.value += max(exclusive, 0.0)
         return self.value
 
     def add_all(self, points: np.ndarray) -> float:
@@ -290,43 +273,51 @@ class FrontSnapshot:
 def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
     """Per-generation hypervolume of a run's cumulative feasible front.
 
-    Computed incrementally: a generation's front differs from the previous
-    one only by its newly nondominated points, and points that later drop
-    off a front are dominated, so they never change the value. A first pass
-    finds the points that add volume and the front each one meets; their
-    exclusive volumes are then shared across CPUs (parallel.share) and added
-    in insertion order, which gives the same value as adding them one by one.
+    Computed incrementally from the fronts the run recorded: each record's
+    front is the nondominated set of every feasible point so far (an exact
+    duplicate keeps its earliest copy), so a point that later drops off a
+    front is dominated and never changes the value, and no earlier point
+    weakly dominates a point new to a front. Each new point strictly inside
+    the reference adds its exclusive volume against the previous record's
+    front and the points new before it in its record. The weakly dominated
+    points among those are dropped by _reduce after clipping, so the volume
+    is the one IncrementalHypervolume.add computes when it replays the new
+    points in order. The volumes are shared across CPUs (parallel.share)
+    and added in that order, which gives the same value to the last bit.
     """
-    probe = IncrementalHypervolume(reference)
-    seen: set[bytes] = set()
-    fresh: list[list[tuple[np.ndarray, bool]]] = []  # per record: new points, admitted?
-    jobs: list[tuple[Point, list[Point]]] = []
+    ref = tuple(np.asarray(reference, dtype=float).tolist())
+    jobs: list[tuple[Point, list[Point]]] = []  # (new point, the points it meets)
+    fresh: list[int] = []  # per record: how many of its points are jobs
+    previous: list[Point] = []  # the previous record's front, inside ref
+    previous_keys: set[bytes] = set()
     for record in history.records:
-        new = []
+        front: list[Point] = []
+        keys: set[bytes] = set()
+        new: list[Point] = []
         for ind in record.front:
-            key = ind.point.tobytes()
-            if key not in seen:
-                seen.add(key)
-                point = probe.admit(ind.point)
-                new.append((ind.point, point is not None))
-                if point is not None:
-                    jobs.append((point, probe.front))
-                    probe.insert(point)
-        fresh.append(new)
-    ref = probe.reference
+            point = tuple(ind.point.tolist())
+            if all(map(lt, point, ref)):
+                key = ind.point.tobytes()
+                if key not in previous_keys:
+                    jobs.append((point, previous + new))
+                    new.append(point)
+                front.append(point)
+                keys.add(key)
+        fresh.append(len(new))
+        previous, previous_keys = front, keys
     exclusives = iter(share(lambda job: _exclusive(job[0], job[1], ref), jobs))
 
-    acc = IncrementalHypervolume(reference)
     out = []
-    for record, new in zip(history.records, fresh):
-        for point, admitted in new:
-            acc.add(point, next(exclusives) if admitted else None)
+    value = 0.0
+    for record, n in zip(history.records, fresh):
+        for e in islice(exclusives, n):
+            value += max(e, 0.0)
         out.append(
             FrontSnapshot(
                 generation=record.generation,
                 model_runs=record.model_runs,
                 front_size=len(record.front),
-                hypervolume=acc.value,
+                hypervolume=value,
                 best_scalar=record.best_scalar,
             )
         )

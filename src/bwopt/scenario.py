@@ -201,9 +201,12 @@ class Scenario:
         if not self.init.angle_low < self.init.angle_high:
             out.append("initialization angle range is empty")
         if self.init.cartesian_bbox is not None:
-            x0, y0, x1, y1 = self.init.cartesian_bbox
-            if not (x0 < x1 and y0 < y1):
-                out.append("initialization cartesian_bbox is degenerate")
+            if len(self.init.cartesian_bbox) != 4:
+                out.append("initialization cartesian_bbox must be [x0, y0, x1, y1]")
+            else:
+                x0, y0, x1, y1 = self.init.cartesian_bbox
+                if not (x0 < x1 and y0 < y1):
+                    out.append("initialization cartesian_bbox is degenerate")
         if self.gene_levels is not None:
             if len(self.gene_levels.lengths) == 0 or len(self.gene_levels.angles) == 0:
                 out.append("gene_levels must list at least one length and one angle")
@@ -287,13 +290,18 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
     except ValueError as exc:
         problems.append(f"boundary: {exc}")
     transmission = dict(DEFAULT_TRANSMISSION)
-    for name, coeff in data.get("materials", {}).items():
+    for name, coeff in _field(data, "materials", dict, problems).items():
         try:
-            transmission[Material(name)] = float(coeff)
+            material = Material(name)
         except ValueError:
             problems.append(f"materials: unknown material {name!r}")
+            continue
+        transmission[material] = _number(coeff, f"materials {name}", problems)
     existing = []
-    for i, s in enumerate(data.get("existing_structures", [])):
+    for i, s in enumerate(_field(data, "existing_structures", list, problems)):
+        if not isinstance(s, dict):
+            problems.append(f"existing structure {i}: must be an object, got {s!r}")
+            continue
         try:
             vertices, material = s["vertices"], Material(s.get("material", "solid_wall"))
         except (KeyError, ValueError) as exc:
@@ -303,32 +311,41 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
     control_points = _xy_array(data.get("control_points", []), "control_points", problems)
     fairway = _xy_array(data.get("fairway", []), "fairway", problems)
     attachments = []
-    for i, a in enumerate(data.get("attachments", [])):
+    for i, a in enumerate(_field(data, "attachments", list, problems)):
+        if not isinstance(a, dict):
+            problems.append(f"attachment {i}: must be an object, got {a!r}")
+            continue
         try:
-            attachments.append(
-                Attachment(
-                    point=AttachmentPoint(float(a["x"]), float(a["y"]), float(a.get("base_angle", 0.0))),
-                    n_segments=int(a.get("n_segments", 2)),
-                    material=Material(a.get("material", "solid_wall")),
-                )
-            )
-        except (KeyError, ValueError) as exc:
+            material = Material(a.get("material", "solid_wall"))
+        except ValueError as exc:
             problems.append(f"attachment {i}: {exc}")
-    init_data = data.get("initialization", {})
+            continue
+        x, y, base_angle = (
+            _number(a.get(key, default), f"attachment {i} {key}", problems)
+            for key, default in (("x", None), ("y", None), ("base_angle", 0.0))
+        )
+        n_segments = _number(a.get("n_segments", 2), f"attachment {i} n_segments", problems, whole=True)
+        attachments.append(Attachment(AttachmentPoint(x, y, base_angle), n_segments, material))
+    init_data = _field(data, "initialization", dict, problems)
     bbox = init_data.get("cartesian_bbox")
     init = InitRanges(
-        max_length=float(init_data.get("max_length", 40.0)),
-        angle_low=float(init_data.get("angle_low", -90.0)),
-        angle_high=float(init_data.get("angle_high", 90.0)),
-        cartesian_bbox=tuple(float(v) for v in bbox) if bbox else None,
+        max_length=_number(init_data.get("max_length", 40.0), "initialization max_length", problems),
+        angle_low=_number(init_data.get("angle_low", -90.0), "initialization angle_low", problems),
+        angle_high=_number(init_data.get("angle_high", 90.0), "initialization angle_high", problems),
+        cartesian_bbox=_numbers(bbox, "initialization cartesian_bbox", problems) if bbox else None,
     )
     levels = None
     if "gene_levels" in data:
-        g = data["gene_levels"]
+        g = _field(data, "gene_levels", dict, problems)
         levels = GeneLevels(
-            lengths=tuple(float(v) for v in g.get("lengths", ())),
-            angles=tuple(float(v) for v in g.get("angles", ())),
+            lengths=_numbers(g.get("lengths", ()), "gene_levels lengths", problems),
+            angles=_numbers(g.get("angles", ()), "gene_levels angles", problems),
         )
+    nav_sampling_step = _number(data.get("nav_sampling_step", 0.25), "nav_sampling_step", problems)
+    diffusion_passes = _number(
+        data.get("diffusion_passes", DEFAULT_DIFFUSION_PASSES), "diffusion_passes", problems, whole=True
+    )
+    violation_penalty = _number(data.get("violation_penalty", 1e6), "violation_penalty", problems)
     if problems or grid is None or boundary is None:
         raise ScenarioError(problems or ["scenario file is empty"])
     scenario = Scenario(
@@ -342,12 +359,42 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         fairway=fairway,
         init=init,
         gene_levels=levels,
-        nav_sampling_step=float(data.get("nav_sampling_step", 0.25)),
-        diffusion_passes=int(data.get("diffusion_passes", DEFAULT_DIFFUSION_PASSES)),
-        violation_penalty=float(data.get("violation_penalty", 1e6)),
+        nav_sampling_step=nav_sampling_step,
+        diffusion_passes=diffusion_passes,
+        violation_penalty=violation_penalty,
         source=data,
     )
     return scenario.finalize()
+
+
+def _field(data: dict, key: str, kind: type, problems: list[str]):
+    """data[key], kind() if absent; kind() and a problem naming key unless it is a kind (dict or list)."""
+    value = data.get(key, kind())
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{key}: must be {'an object' if kind is dict else 'a list'}, got {value!r}")
+    return kind()
+
+
+def _number(value, what: str, problems: list[str], whole: bool = False):
+    """value as a float, or as an int if whole; None and a problem naming what if it is not one."""
+    try:
+        number = float(value)
+        if whole and not number.is_integer():
+            raise ValueError
+    except (TypeError, ValueError):
+        problems.append(f"{what}: must be a {'whole ' if whole else ''}number, got {value!r}")
+        return None
+    return int(number) if whole else number
+
+
+def _numbers(values, what: str, problems: list[str]) -> tuple[float, ...] | None:
+    """values as a tuple of floats; None and a problem naming what if it is not a list of numbers."""
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        problems.append(f"{what}: must be a list of numbers, got {values!r}")
+        return None
 
 
 def _xy_array(value, what: str, problems: list[str]) -> np.ndarray:
@@ -370,9 +417,15 @@ def _parse_grid(gdata, base_dir: Path | None, problems: list[str]) -> ScenarioGr
     if not gdata:
         problems.append("grid: missing")
         return None
-    cell_size = float(gdata.get("cell_size", 25.0))
+    cell_size = _number(gdata.get("cell_size", 25.0), "grid cell_size", problems)
+    if cell_size is None:
+        return None
     if "depth" in gdata:
-        depth = np.asarray(gdata["depth"], dtype=float)
+        try:
+            depth = np.asarray(gdata["depth"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"grid depth: must be rows of numbers ({exc})")
+            return None
     elif "depth_file" in gdata:
         depth_path = Path(gdata["depth_file"])
         if base_dir is not None and not depth_path.is_absolute():

@@ -52,6 +52,8 @@ class BoundaryConditions:
     def __post_init__(self) -> None:
         if not self.incident_height > 0:
             raise ValueError("incident_height must be positive")
+        if not math.isfinite(self.wave_direction):
+            raise ValueError(f"wave_direction must be finite, got {self.wave_direction}")
 
 
 class ObstacleSet:

@@ -492,6 +492,17 @@ def test_de_greedy_mask_checked(unit_scenario):
     assert history.greedy_violations == 0
 
 
+def test_de_rejects_a_population_too_small_for_rand_1_before_evaluating(unit_scenario, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(unit_scenario, "evaluate", evaluated.append)
+    with pytest.raises(ValueError, match="rand/1 needs 3 distinct partners"):
+        run_de(small_config(population_size=3), unit_scenario)
+    assert evaluated == []
+    monkeypatch.undo()
+    history = run_de(small_config(population_size=3, de_use_ga_operators=True), unit_scenario)
+    assert history.records[-1].model_runs == 3 * 6
+
+
 def test_de_ga_operator_ablation_runs(unit_scenario):
     history = run_de(small_config(greedy=True, de_use_ga_operators=True), unit_scenario)
     assert history.greedy_violations == 0

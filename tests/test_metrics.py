@@ -3,6 +3,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import mc_hypervolume
 from bwopt import metrics, parallel
-from bwopt.evolution import EAConfig, run_spea2
+from bwopt.evolution import EAConfig, GenerationRecord, Individual, _update_front, run_spea2
 from bwopt.metrics import (
     FrontSnapshot,
     IncrementalHypervolume,
@@ -351,10 +353,10 @@ def counted_incremental(pts, ref):
     acc = IncrementalHypervolume(ref)
     ops = 0
     for p in pts:
-        point = acc.admit(p)
-        if point is not None:
-            ops += counted(metrics._exclusive, point, acc.front, acc.reference)[1] + 1
+        before = acc.front
         acc.add(p)
+        if acc.front is not before:  # admitted: add took p's exclusive volume against before
+            ops += counted(metrics._exclusive, acc.front[-1], before, acc.reference)[1] + 1
     return acc.value, ops
 
 
@@ -526,28 +528,59 @@ def test_run_snapshots_cumulative_and_non_decreasing(unit_scenario):
         assert snap.front_size == len(record.front)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_run_snapshots_equal_a_plain_incremental_replay(harbor_scenario, monkeypatch, cpus):
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-    history = run_spea2(EAConfig(population_size=12, generations=6, seed=4), harbor_scenario)
-    reference = reference_point(all_front_points([history]))
+def incremental_replay(history, reference):
+    """Per-record hypervolume from IncrementalHypervolume.add of each point new to a front, in order."""
     acc = IncrementalHypervolume(reference)
     seen = set()
-    expected = []
+    values = []
     for record in history.records:
         for ind in record.front:
             if ind.point.tobytes() not in seen:
                 seen.add(ind.point.tobytes())
                 acc.add(ind.point)
-        expected.append(acc.value)
-    added = []
-    real_add = IncrementalHypervolume.add
-    monkeypatch.setattr(
-        IncrementalHypervolume, "add", lambda self, *args: added.append(1) or real_add(self, *args)
-    )
+        values.append(acc.value)
+    return values
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_snapshots_equal_a_plain_incremental_replay(harbor_scenario, monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    history = run_spea2(EAConfig(population_size=12, generations=6, seed=4), harbor_scenario)
+    reference = reference_point(all_front_points([history]))
+    expected = incremental_replay(history, reference)
     assert [s.hypervolume for s in run_snapshots(history, reference)] == expected
-    assert len(added) == len(seen)  # every new point still goes through add, in this process
     assert len(reference) == 5 and expected[-1] > 0.0
+
+
+# coordinates with exact ties, both signed zeros and points past a 0.6 reference
+coordinate = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_run_snapshots_of_update_front_histories_are_an_incremental_replay_bit_for_bit(data):
+    d = data.draw(st.sampled_from([2, 3, 5]))
+    batches = data.draw(
+        st.lists(
+            st.lists(st.tuples(st.tuples(*[coordinate] * d), st.booleans()), max_size=6),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    reference = np.array(data.draw(st.tuples(*[st.sampled_from([0.6, 1.1])] * d)))
+    front, records = [], []
+    for g, batch in enumerate(batches):
+        newcomers = [
+            Individual(point=np.array(p), objectives=SimpleNamespace(feasible=feasible))
+            for p, feasible in batch
+        ]
+        front = _update_front(front, newcomers)
+        records.append(GenerationRecord(g, g + 1, newcomers, [], front, 0.0))
+    history = SimpleNamespace(records=records)
+    expected = [v.hex() for v in incremental_replay(history, reference)]
+    for cpus in (1, 2, 3):
+        with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
+            assert [s.hypervolume.hex() for s in run_snapshots(history, reference)] == expected
 
 
 def test_all_front_points_rejects_empty():

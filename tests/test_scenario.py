@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from bwopt.cli import main
+from bwopt.experiment import shipped_scenario_path
 from bwopt.geometry import Encoding, Genotype, Material
 from bwopt.scenario import (
     GeneLevels,
@@ -123,6 +125,50 @@ def test_non_finite_coordinates_are_rejected():
 def test_missing_grid_is_rejected():
     with pytest.raises(ScenarioError):
         build_scenario({"boundary": {"incident_height": 2.0, "wave_direction": 90.0}})
+
+
+def tiny_with(path, value):
+    """tiny_discrete's source with the field at path (a key sequence) set to value."""
+    data = json.loads(shipped_scenario_path("tiny_discrete").read_text())
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[last] = value
+    return data
+
+
+MALFORMED = [  # (key path into tiny_discrete, bad value, the violation it must report)
+    (("materials", "solid_wall"), "stone", "materials solid_wall: must be a number"),
+    (("attachments", 0, "x"), None, "attachment 0 x: must be a number"),
+    (("existing_structures", 0), [[6, 13], [6, 10]], "existing structure 0: must be an object"),
+    (("materials",), [1], "materials: must be an object"),
+    (("initialization", "max_length"), "long", "initialization max_length: must be a number"),
+    (("nav_sampling_step",), "fine", "nav_sampling_step: must be a number"),
+    (("violation_penalty",), "huge", "violation_penalty: must be a number"),
+    (("gene_levels", "lengths"), [0.0, "two"], "gene_levels lengths: must be a list of numbers"),
+    (("boundary", "wave_direction"), float("nan"), "boundary: wave_direction must be finite"),
+    (("diffusion_passes",), 1.5, "diffusion_passes: must be a whole number"),
+    (("attachments", 0, "n_segments"), 1.7, "attachment 0 n_segments: must be a whole number"),
+    (("grid", "cell_size"), "wide", "grid cell_size: must be a number"),
+    (("grid", "depth"), [[1.0, 2.0], [3.0]], "grid depth: must be rows of numbers"),
+    (("attachments",), 5, "attachments: must be a list"),
+    (("existing_structures",), 7, "existing_structures: must be a list"),
+    (("initialization", "cartesian_bbox"), [0, 0, 9], "initialization cartesian_bbox must be [x0, y0, x1, y1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, violation", MALFORMED, ids=[v.split(":")[0] for _, _, v in MALFORMED]
+)
+def test_malformed_field_is_a_scenario_error_naming_it(tmp_path, capsys, path, value, violation):
+    data = tiny_with(path, value)
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(data)
+    assert any(v.startswith(violation) for v in exc.value.violations), exc.value.violations
+    (tmp_path / "scn.json").write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(tmp_path / "scn.json")]) == 1
+    assert violation in capsys.readouterr().err
 
 
 def test_unknown_material_is_rejected():
