@@ -6,45 +6,5 @@ scored on construction cost, wave heights at protected control points and
 fairway clearance. Multi-objective SPEA2 and single-objective differential
 evolution search that space; exact hypervolume tracks front quality.
 """
-from .evolution import EAConfig, run_de, run_spea2
-from .experiment import ExperimentPlan, load_plan, resolve_scenario, run_experiment
-from .geometry import Attachment, AttachmentPoint, Encoding, Genotype, Layout, Material, ScenarioGrid, convert, decode
-from .metrics import hypervolume, nondominated, reference_point
-from .objectives import evaluate, relativize, single_objective
-from .scenario import Scenario, ScenarioError, load_scenario
-from .wave import BoundaryConditions, FileExchangeWaveModel, ObstacleSet, ShadowDiffusionModel, simulate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Attachment",
-    "AttachmentPoint",
-    "BoundaryConditions",
-    "EAConfig",
-    "Encoding",
-    "ExperimentPlan",
-    "FileExchangeWaveModel",
-    "Genotype",
-    "Layout",
-    "Material",
-    "ObstacleSet",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioGrid",
-    "ShadowDiffusionModel",
-    "convert",
-    "decode",
-    "evaluate",
-    "hypervolume",
-    "load_plan",
-    "load_scenario",
-    "nondominated",
-    "reference_point",
-    "relativize",
-    "resolve_scenario",
-    "run_de",
-    "run_experiment",
-    "run_spea2",
-    "simulate",
-    "single_objective",
-]

@@ -30,11 +30,11 @@ from .experiment import (
 )
 from .geometry import Encoding, Genotype, decode, rasterize
 from .metrics import hypervolume, reference_point
-from .objectives import simulate_layout
+from .objectives import COST_INDEX, NAV_INDEX, WAVE_START_INDEX, simulate_layout
 from .scenario import ScenarioError
 from .wave import write_field
 
-OBJECTIVE_GROUPS = {"cost": [0], "nav": [1]}  # "waves" expands per scenario
+OBJECTIVE_GROUPS = {"cost": [COST_INDEX], "nav": [NAV_INDEX]}  # "waves" expands per scenario
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -57,10 +57,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=["spea2", "de"], default="spea2")
     p.add_argument("--encoding", choices=["angular", "cartesian"], default="angular")
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--generations", type=int, default=30)
-    p.add_argument("--population", type=int, default=30)
+    p.add_argument("--generations", type=int, default=EAConfig.generations)
+    p.add_argument("--population", type=int, default=EAConfig.population_size)
     p.add_argument("--archive", type=int, help="archive size, defaults to the population size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=EAConfig.seed)
 
     p = sub.add_parser("experiment", help="run a plan of variants x seeds")
     p.add_argument("--plan", required=True)
@@ -194,7 +194,7 @@ def _objective_columns(spec: str, width: int) -> list[int]:
     for token in spec.split(","):
         token = token.strip()
         if token == "waves":
-            columns.update(range(2, width))
+            columns.update(range(WAVE_START_INDEX, width))
         elif token in OBJECTIVE_GROUPS:
             columns.update(OBJECTIVE_GROUPS[token])
         else:

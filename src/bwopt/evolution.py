@@ -8,14 +8,18 @@ segment mask:
 * run_de: single-objective differential evolution (rand/1/bin) over the
   scalar convolution of the relative objectives.
 
-The greedy mask focuses variation on one segment block at a time; the active
-block index advances cyclically every generation, so offspring differ from
-their primary parent only inside the active block.
+Both loops follow one generation contract:
 
-Budget accounting: a "model run" is one candidate evaluation. Generation g
-(0-based) ends with exactly population_size * (g + 1) model runs; the
-initial population is generation 0 and is evaluated even when generations
-is 0.
+* Greedy schedule. Offspring generation t >= 1 is bred under the mask of
+  block ((t - 1) // generations_per_segment) % n_blocks (see _mask): each
+  block stays active for generations_per_segment generations, then the next
+  one takes over, cyclically. Every offspring differs from its primary
+  parent only inside the active block, which _check_mask asserts inline.
+* Budget. A "model run" is one candidate evaluation. Generation g (0-based)
+  ends with exactly population_size * (g + 1) model runs; the initial
+  population is generation 0 and is evaluated even when generations is 0.
+* Record. _record appends one GenerationRecord per generation and derives
+  its index, budget, cumulative front and best scalar from the previous one.
 """
 from __future__ import annotations
 
@@ -43,7 +47,6 @@ class EAConfig:
     sigma_angle: float = 15.0          # degrees
     sigma_cartesian: float = 2.0       # cells
     de_weight: float = 0.5             # differential weight
-    de_use_ga_operators: bool = False  # ablation: GA crossover+mutation inside DE loop
     init_retries: int = 50             # feasibility retries per initial individual
     seed: int = 0
 
@@ -62,9 +65,6 @@ class GreedyMask:
 
     active_segment: int
     total_segments: int
-
-    def shift_right(self) -> "GreedyMask":
-        return GreedyMask((self.active_segment + 1) % self.total_segments, self.total_segments)
 
     @property
     def gene_slice(self) -> slice:
@@ -312,13 +312,30 @@ def _check_mask(history: RunHistory, child: Genotype, parent: Genotype, mask: Gr
         )
 
 
-def _best_scalar(scenario, individuals: list[Individual], previous: float) -> float:
-    best = previous
-    for ind in individuals:
-        value = scenario.scalar(ind.objectives)
+def _mask(config: EAConfig, n_blocks: int, t: int) -> GreedyMask | None:
+    """The mask that breeds offspring generation t >= 1, or None without greedy."""
+    if not config.greedy:
+        return None
+    return GreedyMask((t - 1) // config.generations_per_segment % n_blocks, n_blocks)
+
+
+def _record(history: RunHistory, population: list[Individual], archive: list[Individual], scalars) -> None:
+    """Append the next generation's record; scalars are the population's scalar fitness values."""
+    previous = history.records[-1] if history.records else None
+    best = previous.best_scalar if previous else math.inf
+    for value in scalars:
         if value < best:
             best = value
-    return best
+    history.records.append(
+        GenerationRecord(
+            generation=len(history.records),
+            model_runs=(previous.model_runs if previous else 0) + len(population),
+            population=population,
+            archive=list(archive),
+            front=_update_front(previous.front if previous else [], population),
+            best_scalar=best,
+        )
+    )
 
 
 # ----- SPEA2 loop ------------------------------------------------------------
@@ -328,42 +345,24 @@ def run_spea2(config: EAConfig, scenario) -> RunHistory:
 
     Per generation: evaluate the population, pool it with the archive,
     assign fitness, select the next archive, then breed the next population
-    from binary tournaments over the pool. The greedy mask, when enabled,
-    confines crossover and mutation to the cyclically active segment block.
+    from binary tournaments over the pool.
     """
     rng = np.random.default_rng(config.seed)
     history = RunHistory(algorithm="spea2", config=config)
-    mask = GreedyMask(0, scenario.n_blocks) if config.greedy else None
     genotypes = init_population(config, scenario, rng)
     archive: list[Individual] = []
-    front: list[Individual] = []
-    model_runs = 0
-    best = math.inf
     rounds = max(1, config.generations)
     for gen in range(rounds):
         population = [_evaluate(g, scenario, gen, i) for i, g in enumerate(genotypes)]
-        model_runs += len(population)
         union = archive + population
         spea2_fitness(union)
         archive = environmental_selection(union, config.archive_size, rng)
-        front = _update_front(front, population)
-        best = _best_scalar(scenario, population, best)
-        history.records.append(
-            GenerationRecord(
-                generation=gen,
-                model_runs=model_runs,
-                population=population,
-                archive=list(archive),
-                front=front,
-                best_scalar=best,
-            )
-        )
+        _record(history, population, archive, (scenario.scalar(ind.objectives) for ind in population))
         if gen == rounds - 1:
             break
         parents = [binary_tournament(union, rng) for _ in range(config.population_size)]
+        mask = _mask(config, scenario.n_blocks, gen + 1)
         genotypes = _breed(parents, mask, config, scenario, rng, history)
-        if mask is not None and (gen + 1) % config.generations_per_segment == 0:
-            mask = mask.shift_right()
     return history
 
 
@@ -375,6 +374,7 @@ def _breed(
     rng: np.random.Generator,
     history: RunHistory,
 ) -> list[Genotype]:
+    """Offspring i is bred from parents[i] (its primary parent) and its pair partner."""
     children: list[Genotype] = []
     for i in range(0, len(parents) - 1, 2):
         pa, pb = parents[i].genotype, parents[i + 1].genotype
@@ -382,17 +382,13 @@ def _breed(
             ca, cb = crossover(pa, pb, mask, rng)
         else:
             ca, cb = pa.copy(), pb.copy()
-        ca = scenario.snap(mutate(ca, mask, config, rng))
-        cb = scenario.snap(mutate(cb, mask, config, rng))
-        if mask is not None:
-            _check_mask(history, ca, pa, mask)
-            _check_mask(history, cb, pb, mask)
-        children.extend((ca, cb))
+        children.append(scenario.snap(mutate(ca, mask, config, rng)))
+        children.append(scenario.snap(mutate(cb, mask, config, rng)))
     if len(children) < len(parents):  # odd population: last parent mutates alone
-        tail = scenario.snap(mutate(parents[-1].genotype, mask, config, rng))
-        if mask is not None:
-            _check_mask(history, tail, parents[-1].genotype, mask)
-        children.append(tail)
+        children.append(scenario.snap(mutate(parents[-1].genotype, mask, config, rng)))
+    if mask is not None:
+        for child, parent in zip(children, parents):
+            _check_mask(history, child, parent.genotype, mask)
     return children
 
 
@@ -406,37 +402,26 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
     gene forced. Under the greedy mask only the active block's genes
     participate. The better of target and trial survives.
     """
-    if config.population_size < 4 and not config.de_use_ga_operators:
+    if config.population_size < 4:
         raise ValueError(
             f"DE needs a population_size of at least 4, got {config.population_size}: "
             "rand/1 needs 3 distinct partners besides the target"
         )
     rng = np.random.default_rng(config.seed)
     history = RunHistory(algorithm="de", config=config)
-    mask = GreedyMask(0, scenario.n_blocks) if config.greedy else None
     genotypes = init_population(config, scenario, rng)
     population = [_evaluate(g, scenario, 0, i) for i, g in enumerate(genotypes)]
-    model_runs = len(population)
     for ind in population:
         ind.fitness = scenario.scalar(ind.objectives)
-    front = _update_front([], population)
-    best = min(ind.fitness for ind in population)
-    history.records.append(
-        GenerationRecord(0, model_runs, population, [], front, best)
-    )
-    rounds = max(1, config.generations)
-    for gen in range(1, rounds):
+    _record(history, population, [], [ind.fitness for ind in population])
+    for gen in range(1, max(1, config.generations)):
+        mask = _mask(config, scenario.n_blocks, gen)
         survivors: list[Individual] = []
         for i, target in enumerate(population):
-            if config.de_use_ga_operators:
-                trial_genotype, primary = _ga_trial(population, mask, config, scenario, rng)
-            else:
-                trial_genotype = _de_trial(population, i, mask, config, scenario, rng)
-                primary = target.genotype
+            trial_genotype = _de_trial(population, i, mask, config, scenario, rng)
             if mask is not None:
-                _check_mask(history, trial_genotype, primary, mask)
+                _check_mask(history, trial_genotype, target.genotype, mask)
             trial = _evaluate(trial_genotype, scenario, gen, i)
-            model_runs += 1
             trial.fitness = scenario.scalar(trial.objectives)
             if trial.fitness < target.fitness:
                 survivors.append(trial)
@@ -445,13 +430,7 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
             else:
                 survivors.append(target)
         population = survivors
-        front = _update_front(front, population)
-        best = min(best, min(ind.fitness for ind in population))
-        history.records.append(
-            GenerationRecord(gen, model_runs, population, [], front, best)
-        )
-        if mask is not None and gen % config.generations_per_segment == 0:
-            mask = mask.shift_right()
+        _record(history, population, [], [ind.fitness for ind in population])
     return history
 
 
@@ -480,19 +459,3 @@ def _de_trial(
         np.maximum(genes[0::2], 0.0, out=genes[0::2])
     return scenario.snap(Genotype(target.encoding, genes))
 
-
-def _ga_trial(
-    population: list[Individual],
-    mask: GreedyMask | None,
-    config: EAConfig,
-    scenario,
-    rng: np.random.Generator,
-) -> tuple[Genotype, Genotype]:
-    """GA-style trial for the ablation switch; returns (child, primary parent)."""
-    pa = binary_tournament(population, rng)
-    pb = binary_tournament(population, rng)
-    if rng.random() < config.crossover_rate:
-        child, _ = crossover(pa.genotype, pb.genotype, mask, rng)
-    else:
-        child = pa.genotype.copy()
-    return scenario.snap(mutate(child, mask, config, rng)), pa.genotype

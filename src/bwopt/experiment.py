@@ -133,11 +133,11 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     return ExperimentPlan(
         variants=variants,
         seeds=seeds,
-        generations=int(data.get("generations", 30)),
-        population_size=int(data.get("population_size", 30)),
-        archive_size=int(data.get("archive_size", 30)),
+        generations=int(data.get("generations", ExperimentPlan.generations)),
+        population_size=int(data.get("population_size", ExperimentPlan.population_size)),
+        archive_size=int(data.get("archive_size", ExperimentPlan.archive_size)),
         scenario=data.get("scenario"),
-        name=str(data.get("name", "experiment")),
+        name=str(data.get("name", ExperimentPlan.name)),
         operators=data.get("operators"),
     )
 

@@ -233,11 +233,6 @@ class IncrementalHypervolume:
         self.front.append(point)
         return self.value
 
-    def add_all(self, points: np.ndarray) -> float:
-        for point in np.atleast_2d(np.asarray(points, dtype=float)):
-            self.add(point)
-        return self.value
-
 
 def reference_point(points: np.ndarray, margin: float = 0.1) -> np.ndarray:
     """Reference for hypervolume: the nadir pushed out by margin of the span.

@@ -31,6 +31,7 @@ from .geometry import (
     total_blocks,
 )
 from .objectives import (
+    DEFAULT_VIOLATION_PENALTY,
     Baseline,
     ObjectiveVector,
     RelativeObjectiveVector,
@@ -103,7 +104,7 @@ class Scenario:
     gene_levels: GeneLevels | None = None
     nav_sampling_step: float = 0.25
     diffusion_passes: int = DEFAULT_DIFFUSION_PASSES
-    violation_penalty: float = 1e6
+    violation_penalty: float = DEFAULT_VIOLATION_PENALTY
     source: dict | None = None
 
     # filled by finalize()
@@ -328,10 +329,14 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         attachments.append(Attachment(AttachmentPoint(x, y, base_angle), n_segments, material))
     init_data = _field(data, "initialization", dict, problems)
     bbox = init_data.get("cartesian_bbox")
+    max_length, angle_low, angle_high = (
+        _number(init_data.get(key, getattr(InitRanges, key)), f"initialization {key}", problems)
+        for key in ("max_length", "angle_low", "angle_high")
+    )
     init = InitRanges(
-        max_length=_number(init_data.get("max_length", 40.0), "initialization max_length", problems),
-        angle_low=_number(init_data.get("angle_low", -90.0), "initialization angle_low", problems),
-        angle_high=_number(init_data.get("angle_high", 90.0), "initialization angle_high", problems),
+        max_length=max_length,
+        angle_low=angle_low,
+        angle_high=angle_high,
         cartesian_bbox=_numbers(bbox, "initialization cartesian_bbox", problems) if bbox else None,
     )
     levels = None
@@ -341,11 +346,10 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
             lengths=_numbers(g.get("lengths", ()), "gene_levels lengths", problems),
             angles=_numbers(g.get("angles", ()), "gene_levels angles", problems),
         )
-    nav_sampling_step = _number(data.get("nav_sampling_step", 0.25), "nav_sampling_step", problems)
-    diffusion_passes = _number(
-        data.get("diffusion_passes", DEFAULT_DIFFUSION_PASSES), "diffusion_passes", problems, whole=True
+    nav_sampling_step, diffusion_passes, violation_penalty = (
+        _number(data.get(key, getattr(Scenario, key)), key, problems, whole=key == "diffusion_passes")
+        for key in ("nav_sampling_step", "diffusion_passes", "violation_penalty")
     )
-    violation_penalty = _number(data.get("violation_penalty", 1e6), "violation_penalty", problems)
     if problems or grid is None or boundary is None:
         raise ScenarioError(problems or ["scenario file is empty"])
     scenario = Scenario(

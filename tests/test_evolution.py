@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bwopt import evolution
 from bwopt.evolution import (
     EAConfig,
     GreedyMask,
@@ -394,15 +395,6 @@ def test_sample_genotype_discrete_levels(tiny_scenario):
 
 # ----- greedy mask -----
 
-def test_mask_cycles():
-    mask = GreedyMask(0, 3)
-    seen = []
-    for _ in range(6):
-        seen.append(mask.active_segment)
-        mask = mask.shift_right()
-    assert seen == [0, 1, 2, 0, 1, 2]
-
-
 def test_mask_gene_slice():
     mask = GreedyMask(2, 5)
     assert mask.gene_slice == slice(4, 6)
@@ -498,15 +490,27 @@ def test_de_rejects_a_population_too_small_for_rand_1_before_evaluating(unit_sce
     with pytest.raises(ValueError, match="rand/1 needs 3 distinct partners"):
         run_de(small_config(population_size=3), unit_scenario)
     assert evaluated == []
-    monkeypatch.undo()
-    history = run_de(small_config(population_size=3, de_use_ga_operators=True), unit_scenario)
-    assert history.records[-1].model_runs == 3 * 6
 
 
-def test_de_ga_operator_ablation_runs(unit_scenario):
-    history = run_de(small_config(greedy=True, de_use_ga_operators=True), unit_scenario)
-    assert history.greedy_violations == 0
-    assert len(history.records) == 6
+@pytest.mark.parametrize("dwell", [1, 2, 3])
+@pytest.mark.parametrize("run", [run_spea2, run_de], ids=["spea2", "de"])
+def test_greedy_schedule_dwells_on_each_block_in_turn(unit_scenario, monkeypatch, run, dwell):
+    # offspring generation t is bred under block ((t - 1) // dwell) % n_blocks
+    seen = []
+    check = evolution._check_mask
+
+    def recording(history, child, parent, mask):
+        seen.append((len(history.records), mask.active_segment))
+        check(history, child, parent, mask)
+
+    monkeypatch.setattr(evolution, "_check_mask", recording)
+    n_blocks = unit_scenario.n_blocks
+    generations = n_blocks * dwell + 2  # the schedule wraps back to block 0
+    history = run(small_config(greedy=True, generations_per_segment=dwell, generations=generations), unit_scenario)
+    assert n_blocks >= 2
+    assert history.greedy_checks == len(seen) == 8 * (generations - 1)
+    assert sorted({t for t, _ in seen}) == list(range(1, generations))
+    assert all(block == (t - 1) // dwell % n_blocks for t, block in seen)
 
 
 def test_de_trial_degenerate_copies_population_member(unit_scenario):

@@ -107,8 +107,10 @@ def test_plan_unknown_algorithm_rejected():
 
 
 def test_plan_unknown_operator_keys_rejected():
-    with pytest.raises(ValueError, match="unknown operator keys.*turbo"):
-        plan_from_dict(plan_dict(operators={"turbo": 1}))
+    # de_use_ga_operators was an EAConfig field; a stale plan naming it fails loudly
+    for key, value in (("turbo", 1), ("de_use_ga_operators", True)):
+        with pytest.raises(ValueError, match=f"unknown operator keys.*{key}"):
+            plan_from_dict(plan_dict(operators={key: value}))
 
 
 @pytest.mark.parametrize(
