@@ -132,7 +132,7 @@ def _baseline(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_field(out / "baseline_field.txt", b.field, scenario.grid.land_mask)
+        write_field(out / "baseline_field.txt", simulate_layout([], scenario), scenario.grid.land_mask)
         write_json(
             out / "baseline.json",
             {
@@ -250,12 +250,12 @@ def _export_field(args: argparse.Namespace) -> int:
         new_polylines = layout.breakwaters
         label = f"member {args.member} of {args.front}"
     else:
-        field = scenario.baseline.field
+        field = simulate_layout([], scenario)
         new_polylines = []
         label = "baseline (existing structures only)"
     write_field(out / "field.txt", field, scenario.grid.land_mask)
     _write_polylines(out / "new_structures.txt", new_polylines)
-    _write_polylines(out / "existing_structures.txt", scenario.existing_polylines)
+    _write_polylines(out / "existing_structures.txt", [verts for verts, _ in scenario.existing_structures])
     print(f"exported {label} field to {out / 'field.txt'}")
     return 0
 

@@ -12,9 +12,10 @@ Both loops follow one generation contract:
 
 * Greedy schedule. Offspring generation t >= 1 is bred under the mask of
   block ((t - 1) // generations_per_segment) % n_blocks (see _mask): each
-  block stays active for generations_per_segment generations, then the next
-  one takes over, cyclically. Every offspring differs from its primary
-  parent only inside the active block, which _check_mask asserts inline.
+  block stays active for generations_per_segment >= 1 generations, then the
+  next one takes over, cyclically. The mask is the active block's gene
+  slice. Every offspring differs from its primary parent only inside it,
+  which _check_mask asserts inline.
 * Budget. A "model run" is one candidate evaluation. Generation g (0-based)
   ends with exactly population_size * (g + 1) model runs; the initial
   population is generation 0 and is evaluated even when generations is 0.
@@ -50,6 +51,12 @@ class EAConfig:
     init_retries: int = 50             # feasibility retries per initial individual
     seed: int = 0
 
+    def __post_init__(self):
+        if self.generations_per_segment < 1:
+            raise ValueError(
+                f"generations_per_segment must be at least 1, got {self.generations_per_segment}"
+            )
+
 
 @dataclass
 class Individual:
@@ -57,18 +64,6 @@ class Individual:
     objectives: ObjectiveVector | None = None
     point: np.ndarray | None = None    # relative objectives, minimization form
     fitness: float | None = None
-
-
-@dataclass(frozen=True)
-class GreedyMask:
-    """Selects the single segment block variation is allowed to touch."""
-
-    active_segment: int
-    total_segments: int
-
-    @property
-    def gene_slice(self) -> slice:
-        return slice(2 * self.active_segment, 2 * self.active_segment + 2)
 
 
 @dataclass
@@ -146,7 +141,7 @@ def init_population(config: EAConfig, scenario, rng: np.random.Generator) -> lis
 def crossover(
     parent_a: Genotype,
     parent_b: Genotype,
-    mask: GreedyMask | None,
+    mask: slice | None,
     rng: np.random.Generator,
 ) -> tuple[Genotype, Genotype]:
     """One-point block crossover; under a greedy mask, exchange of the active block.
@@ -158,9 +153,8 @@ def crossover(
     ga = parent_a.genes.copy()
     gb = parent_b.genes.copy()
     if mask is not None:
-        s = mask.gene_slice
-        ga[s] = parent_b.genes[s]
-        gb[s] = parent_a.genes[s]
+        ga[mask] = parent_b.genes[mask]
+        gb[mask] = parent_a.genes[mask]
     elif parent_a.n_blocks >= 2:
         cut = 2 * int(rng.integers(1, parent_a.n_blocks))
         ga[cut:] = parent_b.genes[cut:]
@@ -176,13 +170,13 @@ def _gene_sigma(config: EAConfig, encoding: Encoding, index: int) -> float:
 
 def mutate(
     genotype: Genotype,
-    mask: GreedyMask | None,
+    mask: slice | None,
     config: EAConfig,
     rng: np.random.Generator,
 ) -> Genotype:
     """Per-gene Gaussian mutation; a greedy mask limits it to the active block."""
     genes = genotype.genes.copy()
-    for i in range(genes.size)[mask.gene_slice if mask is not None else slice(None)]:
+    for i in range(genes.size)[mask if mask is not None else slice(None)]:
         if rng.random() < config.mutation_rate:
             genes[i] += rng.normal(0.0, _gene_sigma(config, genotype.encoding, i))
     if genotype.encoding is Encoding.ANGULAR:
@@ -220,7 +214,7 @@ def spea2_fitness(union: list[Individual]) -> None:
         ind.fitness = float(f)
 
 
-def _truncate(candidates: list[Individual], target: int, rng: np.random.Generator | None) -> list[Individual]:
+def _truncate(candidates: list[Individual], target: int, rng: np.random.Generator) -> list[Individual]:
     """SPEA2 archive truncation: drop the most crowded individual repeatedly.
 
     The victim has the lexicographically smallest sorted distance vector to
@@ -234,7 +228,7 @@ def _truncate(candidates: list[Individual], target: int, rng: np.random.Generato
         keys = np.sort(dist[np.ix_(alive, alive)], axis=1)
         lowest = keys[np.lexsort(keys.T[::-1])[0]]
         ties = np.flatnonzero(np.all(keys == lowest, axis=1))
-        victim = ties[0] if rng is None or len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+        victim = ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
         alive = np.delete(alive, victim)
     return [candidates[i] for i in alive]
 
@@ -242,7 +236,7 @@ def _truncate(candidates: list[Individual], target: int, rng: np.random.Generato
 def environmental_selection(
     union: list[Individual],
     archive_size: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> list[Individual]:
     """Next archive: all nondominated, truncated or topped up to archive_size."""
     nondom = [ind for ind in union if ind.fitness < 1.0]
@@ -300,23 +294,23 @@ def _update_front(front: list[Individual], newcomers: list[Individual]) -> list[
     return [unique[i] for i in nondominated(points)]
 
 
-def _check_mask(history: RunHistory, child: Genotype, parent: Genotype, mask: GreedyMask) -> None:
+def _check_mask(history: RunHistory, child: Genotype, parent: Genotype, mask: slice) -> None:
     history.greedy_checks += 1
-    s = mask.gene_slice
-    same_before = np.array_equal(child.genes[: s.start], parent.genes[: s.start])
-    same_after = np.array_equal(child.genes[s.stop :], parent.genes[s.stop :])
+    same_before = np.array_equal(child.genes[: mask.start], parent.genes[: mask.start])
+    same_after = np.array_equal(child.genes[mask.stop :], parent.genes[mask.stop :])
     if not (same_before and same_after):
         history.greedy_violations += 1
         raise AssertionError(
-            f"greedy mask violated: offspring touched genes outside block {mask.active_segment}"
+            f"greedy mask violated: offspring touched genes outside block {mask.start // 2}"
         )
 
 
-def _mask(config: EAConfig, n_blocks: int, t: int) -> GreedyMask | None:
-    """The mask that breeds offspring generation t >= 1, or None without greedy."""
+def _mask(config: EAConfig, n_blocks: int, t: int) -> slice | None:
+    """The active block's gene slice that breeds offspring generation t >= 1, or None without greedy."""
     if not config.greedy:
         return None
-    return GreedyMask((t - 1) // config.generations_per_segment % n_blocks, n_blocks)
+    block = (t - 1) // config.generations_per_segment % n_blocks
+    return slice(2 * block, 2 * block + 2)
 
 
 def _record(history: RunHistory, population: list[Individual], archive: list[Individual], scalars) -> None:
@@ -346,6 +340,10 @@ def run_spea2(config: EAConfig, scenario) -> RunHistory:
     Per generation: evaluate the population, pool it with the archive,
     assign fitness, select the next archive, then breed the next population
     from binary tournaments over the pool.
+
+    Known deviation: in Zitzler et al.'s SPEA2 the mating tournaments draw
+    from the new archive only; here they draw from the pool (previous
+    archive + population). Changing it would move every SPEA2 trajectory.
     """
     rng = np.random.default_rng(config.seed)
     history = RunHistory(algorithm="spea2", config=config)
@@ -357,7 +355,8 @@ def run_spea2(config: EAConfig, scenario) -> RunHistory:
         union = archive + population
         spea2_fitness(union)
         archive = environmental_selection(union, config.archive_size, rng)
-        _record(history, population, archive, (scenario.scalar(ind.objectives) for ind in population))
+        scalars = [scenario.scalar(ind.point, ind.objectives.violations) for ind in population]
+        _record(history, population, archive, scalars)
         if gen == rounds - 1:
             break
         parents = [binary_tournament(union, rng) for _ in range(config.population_size)]
@@ -368,7 +367,7 @@ def run_spea2(config: EAConfig, scenario) -> RunHistory:
 
 def _breed(
     parents: list[Individual],
-    mask: GreedyMask | None,
+    mask: slice | None,
     config: EAConfig,
     scenario,
     rng: np.random.Generator,
@@ -412,7 +411,7 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
     genotypes = init_population(config, scenario, rng)
     population = [_evaluate(g, scenario, 0, i) for i, g in enumerate(genotypes)]
     for ind in population:
-        ind.fitness = scenario.scalar(ind.objectives)
+        ind.fitness = scenario.scalar(ind.point, ind.objectives.violations)
     _record(history, population, [], [ind.fitness for ind in population])
     for gen in range(1, max(1, config.generations)):
         mask = _mask(config, scenario.n_blocks, gen)
@@ -422,7 +421,7 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
             if mask is not None:
                 _check_mask(history, trial_genotype, target.genotype, mask)
             trial = _evaluate(trial_genotype, scenario, gen, i)
-            trial.fitness = scenario.scalar(trial.objectives)
+            trial.fitness = scenario.scalar(trial.point, trial.objectives.violations)
             if trial.fitness < target.fitness:
                 survivors.append(trial)
             elif trial.fitness == target.fitness and rng.random() < 0.5:
@@ -437,7 +436,7 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
 def _de_trial(
     population: list[Individual],
     target_index: int,
-    mask: GreedyMask | None,
+    mask: slice | None,
     config: EAConfig,
     scenario,
     rng: np.random.Generator,
@@ -450,7 +449,7 @@ def _de_trial(
     g3 = population[others[int(r3)]].genotype.genes
     donor = g1 + config.de_weight * (g2 - g3)
     genes = target.genes.copy()
-    eligible = range(genes.size)[mask.gene_slice if mask is not None else slice(None)]
+    eligible = range(genes.size)[mask if mask is not None else slice(None)]
     forced = eligible[int(rng.integers(len(eligible)))]
     for j in eligible:
         if j == forced or rng.random() < config.crossover_rate:

@@ -44,6 +44,7 @@ from .metrics import (
     reference_point,
     run_snapshots,
 )
+from .objectives import COST_INDEX, NAV_INDEX, WAVE_START_INDEX
 from .parallel import share
 from .scenario import Scenario, load_scenario, scenario_to_json
 
@@ -100,6 +101,7 @@ class ExperimentPlan:
         fixed = operators & _PLAN_FIELDS
         if fixed:
             raise ValueError(f"operator keys {sorted(fixed)} are set by the plan and its variants")
+        EAConfig(**(self.operators or {}))  # rejects bad operator values before any run starts
 
     @property
     def repeats(self) -> int:
@@ -249,7 +251,6 @@ def history_to_dict(history: RunHistory) -> dict:
 
 def front_member_dict(ind: Individual, scenario: Scenario) -> dict:
     layout = decode(ind.genotype, scenario.attachments)
-    rel = scenario.relative(ind.objectives)
     return {
         "encoding": ind.genotype.encoding.value,
         "genes": ind.genotype.genes,
@@ -260,9 +261,9 @@ def front_member_dict(ind: Individual, scenario: Scenario) -> dict:
             "wave_heights": ind.objectives.wave_heights,
         },
         "relative": {
-            "cost": rel.cost,
-            "nav_distance": rel.nav_distance,
-            "wave_heights": rel.wave_heights,
+            "cost": ind.point[COST_INDEX],
+            "nav_distance": -ind.point[NAV_INDEX],
+            "wave_heights": ind.point[WAVE_START_INDEX:],
         },
         "layout": [verts for verts in layout.breakwaters],
     }

@@ -4,8 +4,11 @@ Three objective families are computed per candidate: construction cost
 (total structure length times the grid step), wave heights at the protected
 control points, and navigational clearance (smallest distance between new
 structures and the fairway). For optimization they are expressed relative to
-the existing configuration, in percent, and stacked into a minimization
-vector laid out as [cost, -clearance, height_1, ..., height_m].
+the existing configuration, in percent, by relativize, which returns them
+as the one minimization vector laid out as
+[cost, -clearance, height_1, ..., height_m]; the scalar convolution reads
+the same vector. The baseline's heights come from wave_heights with no new
+cells, the path every candidate takes.
 """
 from __future__ import annotations
 
@@ -52,26 +55,12 @@ class ObjectiveVector:
 
 
 @dataclass
-class RelativeObjectiveVector:
-    """Objectives as percent change against the existing configuration."""
-
-    cost: float
-    nav_distance: float
-    wave_heights: np.ndarray
-
-    def min_vector(self) -> np.ndarray:
-        """Minimization form (clearance negated), the optimizer's space."""
-        return np.concatenate(([self.cost, -self.nav_distance], self.wave_heights))
-
-
-@dataclass
 class Baseline:
     """Reference values of the existing configuration, used as denominators."""
 
     wave_heights: np.ndarray
     nav_distance: float
     cost_ref: float            # total existing structure length times grid step
-    field: np.ndarray          # existing-structures-only wave field, kept for export
 
 
 def cost(segments, cell_size: float) -> float:
@@ -81,10 +70,8 @@ def cost(segments, cell_size: float) -> float:
 
 def simulate_layout(cells, scenario) -> np.ndarray:
     """Wave field with the existing structures plus the given rasterized cells."""
-    added = ObstacleSet.from_pairs(cells)
-    return scenario.wave_model.simulate(
-        scenario.grid, scenario.existing_obstacles.merged_with(added), scenario.boundary
-    )
+    obstacles = ObstacleSet.from_pairs([*scenario.existing_cells, *cells])
+    return scenario.wave_model.simulate(scenario.grid, obstacles, scenario.boundary)
 
 
 def wave_heights(cells, scenario) -> np.ndarray:
@@ -152,35 +139,41 @@ def evaluate(genotype: Genotype, scenario) -> ObjectiveVector:
     )
 
 
-def relativize(raw: ObjectiveVector, baseline: Baseline) -> RelativeObjectiveVector:
-    """Percent change of each objective against the baseline values."""
-    return RelativeObjectiveVector(
-        cost=(raw.cost - baseline.cost_ref) / baseline.cost_ref * 100.0,
-        nav_distance=(raw.nav_distance - baseline.nav_distance) / baseline.nav_distance * 100.0,
-        wave_heights=(raw.wave_heights - baseline.wave_heights) / baseline.wave_heights * 100.0,
-    )
+def relativize(raw: ObjectiveVector, baseline: Baseline) -> np.ndarray:
+    """Percent change of each objective against the baseline, in minimization form.
+
+    Laid out as [cost, -clearance, height_1, ..., height_m]: the clearance
+    change is negated, so lower is better in every entry.
+    """
+    nav = (raw.nav_distance - baseline.nav_distance) / baseline.nav_distance * 100.0
+    return np.concatenate((
+        [(raw.cost - baseline.cost_ref) / baseline.cost_ref * 100.0, -nav],
+        (raw.wave_heights - baseline.wave_heights) / baseline.wave_heights * 100.0,
+    ))
 
 
 def single_objective(
-    rel: RelativeObjectiveVector,
+    point: np.ndarray,
     violations: int = 0,
     penalty: float = DEFAULT_VIOLATION_PENALTY,
 ) -> float:
-    """Scalar convolution of the relative objectives, lower is better.
+    """Scalar convolution of a relative minimization vector, lower is better.
 
     (100 + mean wave change + clearance change) / (100 - cost change), plus
-    a fixed penalty per constraint violation. The unchanged configuration
-    scores exactly 1. A cost change of +100 percent would zero the
-    denominator; it is clamped to a signed epsilon and a warning recorded.
+    a fixed penalty per constraint violation; the clearance change is
+    -point[NAV_INDEX]. The unchanged configuration scores exactly 1. A cost
+    change of +100 percent would zero the denominator; it is clamped to a
+    signed epsilon and a warning recorded.
     """
-    wave_term = float(np.mean(rel.wave_heights))
-    denominator = 100.0 - rel.cost
+    cost_change = point[COST_INDEX]
+    wave_term = float(np.mean(point[WAVE_START_INDEX:]))
+    denominator = 100.0 - cost_change
     if abs(denominator) < DENOMINATOR_EPS:
         warnings.warn(
-            f"cost change {rel.cost:+.6f}% makes the convolution denominator "
+            f"cost change {cost_change:+.6f}% makes the convolution denominator "
             "vanish; clamping to signed epsilon",
             EvaluationWarning,
             stacklevel=2,
         )
         denominator = math.copysign(DENOMINATOR_EPS, denominator)
-    return float((100.0 + wave_term + rel.nav_distance) / denominator + penalty * violations)
+    return float((100.0 + wave_term - point[NAV_INDEX]) / denominator + penalty * violations)

@@ -5,7 +5,9 @@ grid, the existing protective structures, attachment points for new
 breakwaters, control points whose wave heights matter, the fairway, the
 incident sea state, and initialization ranges for the optimizer. Loading a
 scenario also computes the baseline (existing configuration) values that
-anchor the relative objectives.
+anchor the relative objectives. The baseline wave heights take the path
+every candidate takes (objectives.wave_heights with no new cells), so for
+the built-in model loading runs no full-grid simulation.
 """
 from __future__ import annotations
 
@@ -34,20 +36,18 @@ from .objectives import (
     DEFAULT_VIOLATION_PENALTY,
     Baseline,
     ObjectiveVector,
-    RelativeObjectiveVector,
     cost,
     evaluate,
     relativize,
     single_objective,
+    wave_heights,
 )
 from .wave import (
     DEFAULT_DIFFUSION_PASSES,
     DEFAULT_TRANSMISSION,
     BoundaryConditions,
-    ObstacleSet,
     ShadowDiffusionModel,
     coefficient_grid,
-    sample,
 )
 
 ATTACHMENT_ANCHOR_TOLERANCE = 1.5  # cells
@@ -109,10 +109,9 @@ class Scenario:
 
     # filled by finalize()
     wave_model: object = None
-    existing_polylines: list[np.ndarray] = field(default_factory=list)
-    existing_segments: list = field(default_factory=list)  # geometry.polyline_segments of the above
+    existing_segments: list = field(default_factory=list)  # geometry.polyline_segments of the structures
     fairway_segments: list = field(default_factory=list)
-    existing_obstacles: ObstacleSet = field(default_factory=ObstacleSet)
+    existing_cells: list = field(default_factory=list)  # geometry.rasterize of the structures
     coefficients: np.ndarray | None = None  # wave.coefficient_grid of the existing structures
     baseline: Baseline | None = None
 
@@ -127,24 +126,20 @@ class Scenario:
             raise ScenarioError(violations)
         if self.wave_model is None:
             self.wave_model = ShadowDiffusionModel(self.diffusion_passes)
-        self.existing_polylines = [verts for verts, _ in self.existing_structures]
         existing_layout = Layout(
-            breakwaters=list(self.existing_polylines),
+            breakwaters=[verts for verts, _ in self.existing_structures],
             materials=[mat for _, mat in self.existing_structures],
         )
         self.existing_segments = existing_layout.segments()
         self.fairway_segments = polyline_segments([self.fairway])
-        existing_cells = rasterize(existing_layout, self.grid, self.transmission)
-        self.existing_obstacles = ObstacleSet.from_pairs(existing_cells)
-        self.coefficients = coefficient_grid(self.grid, existing_cells)
-        base_field = self.wave_model.simulate(self.grid, self.existing_obstacles, self.boundary)
+        self.existing_cells = rasterize(existing_layout, self.grid, self.transmission)
+        self.coefficients = coefficient_grid(self.grid, self.existing_cells)
         self.baseline = Baseline(
-            wave_heights=sample(base_field, self.control_points),
+            wave_heights=wave_heights([], self),
             nav_distance=min_distance_to_fairway(
                 existing_layout, self.fairway, self.grid.cell_size, self.nav_sampling_step
             ),
             cost_ref=cost(self.existing_segments, self.grid.cell_size),
-            field=base_field,
         )
         problems = self._baseline_violations()
         if problems:
@@ -249,20 +244,13 @@ class Scenario:
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
         return evaluate(genotype, self)
 
-    def relative(self, objectives: ObjectiveVector) -> RelativeObjectiveVector:
-        return relativize(objectives, self.baseline)
-
     def min_point(self, objectives: ObjectiveVector) -> np.ndarray:
         """Relative objectives in minimization form, the optimizer's space."""
-        return self.relative(objectives).min_vector()
+        return relativize(objectives, self.baseline)
 
-    def scalar(self, objectives: ObjectiveVector) -> float:
-        """Scalar fitness: relative convolution plus constraint penalties."""
-        return single_objective(
-            self.relative(objectives),
-            violations=objectives.violations,
-            penalty=self.violation_penalty,
-        )
+    def scalar(self, point: np.ndarray, violations: int) -> float:
+        """Scalar fitness of a min_point: relative convolution plus constraint penalties."""
+        return single_objective(point, violations=violations, penalty=self.violation_penalty)
 
     def snap(self, genotype: Genotype) -> Genotype:
         return self.gene_levels.snap(genotype) if self.gene_levels is not None else genotype

@@ -80,15 +80,6 @@ class ObstacleSet:
         prev = self.cells.get(cell)
         self.cells[cell] = coeff if prev is None else min(prev, coeff)
 
-    def merged_with(self, other: "ObstacleSet") -> "ObstacleSet":
-        # both sides hold clamped coefficients already, so no cell is re-validated
-        out = ObstacleSet()
-        cells = out.cells = dict(self.cells)
-        for cell, coeff in other.cells.items():
-            prev = cells.get(cell)
-            cells[cell] = coeff if prev is None else min(prev, coeff)
-        return out
-
 
 def coefficient_grid(grid: ScenarioGrid, cells) -> np.ndarray:
     """The coefficient grid of distinct ((col, row), coefficient) obstacle cells.
@@ -108,8 +99,8 @@ def coefficient_grid(grid: ScenarioGrid, cells) -> np.ndarray:
 def with_obstacles(coefficients: np.ndarray, cells, n_cols: int) -> np.ndarray:
     """A copy of a coefficient grid with distinct in-grid ((col, row), coefficient) cells written in.
 
-    Each cell keeps the smaller of its old and new coefficient, as merging
-    two ObstacleSets does; land stays 0.0.
+    Each cell keeps the smaller of its old and new coefficient, as an
+    ObstacleSet does; land stays 0.0.
     """
     out = coefficients.copy()
     if cells:

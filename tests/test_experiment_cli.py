@@ -22,6 +22,7 @@ from bwopt.experiment import (
     shipped_scenario_path,
 )
 from bwopt.geometry import Encoding, Genotype
+from bwopt.objectives import simulate_layout
 from bwopt.scenario import load_scenario
 from bwopt.wave import read_field
 
@@ -481,6 +482,19 @@ def test_cli_experiment_requires_scenario(tmp_path, capsys):
     assert "names no scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dwell", [0, -1])
+def test_cli_experiment_rejects_generations_per_segment_below_one(tmp_path, capsys, dwell):
+    # a greedy run would fail after generation 0 (0) or run the schedule backwards (-1)
+    write_scenario(tmp_path / "scn.json")
+    plan_path = tmp_path / "plan.json"
+    plan = plan_dict(scenario="scn.json", operators={"generations_per_segment": dwell})
+    plan_path.write_text(json.dumps(plan))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(out)]) == 1
+    assert "generations_per_segment must be at least 1" in capsys.readouterr().err
+    assert not out.exists()  # no run started
+
+
 def test_cli_run_failure_exit_code(tmp_path, monkeypatch, capsys):
     scn = write_scenario(tmp_path / "scn.json")
 
@@ -499,7 +513,7 @@ def test_cli_export_field_baseline(tmp_path, capsys, unit_scenario):
     assert main(["export-field", "--scenario", str(scn), "--out", str(out)]) == 0
     field = read_field(out / "field.txt")
     land = unit_scenario.grid.land_mask
-    assert np.array_equal(field[~land], unit_scenario.baseline.field[~land])
+    assert np.array_equal(field[~land], simulate_layout([], unit_scenario)[~land])
     assert np.all(field[land] == -1.0)
     assert (out / "new_structures.txt").read_text() == ""
     existing = (out / "existing_structures.txt").read_text()

@@ -13,14 +13,20 @@ literals and says so in CHANGES.md. To re-record them, run
     PYTHONPATH=src python tests/test_golden_digests.py > golden.txt
 
 under the recorded numpy: it runs both plans into a temporary directory and
-prints the GOLDEN dict in the layout below, ready to paste over it; a diff
-against the committed dict lists the files that moved.
+prints the GOLDEN and CLI_GOLDEN dicts in the layout below, ready to paste
+over them; a diff against the committed dicts lists the files that moved.
+
+CLI_GOLDEN holds the digests of the CLI's field exports on sochi_like:
+`bwopt baseline --out`, and `bwopt export-field` without `--front` and with
+member 0 of a short greedy `bwopt optimize` run's front (see cli_exports).
 
 The literals were recorded with numpy 2.4.6 on CPython 3.11 (x86-64). Another
 numpy version may round differently, so the check runs only under the
 recorded one, which CI pins.
 """
+import contextlib
 import hashlib
+import io
 import tempfile
 import warnings
 from pathlib import Path
@@ -28,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bwopt.cli import main
 from bwopt.experiment import ExperimentPlan, VariantSpec, resolve_scenario, run_experiment
 from bwopt.geometry import Encoding
 from bwopt.objectives import EvaluationWarning
@@ -150,6 +157,17 @@ GOLDEN = {
     },
 }
 
+CLI_GOLDEN = {
+    "baseline/baseline.json": "f24f6d4adce7aaece65f06592304c1169d5991a2c5d5389b69eb35436247bf73",
+    "baseline/baseline_field.txt": "271ca912ffe1d00c3699a26dea514932c2c614d991dd4518ae8987214a866911",
+    "field/existing_structures.txt": "e3ac5212c9191d8e80d60cf69623068a3213429774bd7a9f49799d7f870ff425",
+    "field/field.txt": "271ca912ffe1d00c3699a26dea514932c2c614d991dd4518ae8987214a866911",
+    "field/new_structures.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "member/existing_structures.txt": "e3ac5212c9191d8e80d60cf69623068a3213429774bd7a9f49799d7f870ff425",
+    "member/field.txt": "ce757f63999e4e2fff49b1da6bad1145f520c2feaeb588b5f3a5ec133387f23c",
+    "member/new_structures.txt": "e576e4adb824cf3cb8dafb57a06160808ad8f51b8860818529a7052086816479",
+}
+
 
 def golden_plan(scenario: str) -> ExperimentPlan:
     return ExperimentPlan(
@@ -193,8 +211,33 @@ def test_experiment_tree_matches_golden_digests(tmp_path, scenario):
     assert not differ, f"{len(differ)} files differ from their recorded digests: {differ}"
 
 
+def cli_exports(root: Path) -> dict[str, str]:
+    """Digests of the field exports of the CLI commands README lists, on sochi_like."""
+    scenario = ["--scenario", "sochi_like"]
+    run = root / "run"
+    commands = [
+        ["baseline", *scenario, "--out", str(root / "baseline")],
+        ["export-field", *scenario, "--out", str(root / "field")],
+        ["optimize", *scenario, "--out", str(run), "--greedy",
+         "--generations", "3", "--population", "6", "--seed", "1"],
+        ["export-field", *scenario, "--out", str(root / "member"),
+         "--front", str(run / "final_front.json"), "--member", "0"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            assert main(argv) == 0, argv
+    return {path: digest for path, digest in tree_digests(root).items() if not path.startswith("run/")}
+
+
+def test_cli_field_exports_match_golden_digests(tmp_path):
+    digests = cli_exports(tmp_path)
+    assert sorted(digests) == sorted(CLI_GOLDEN), "the exported file list changed"
+    differ = [path for path in CLI_GOLDEN if digests[path] != CLI_GOLDEN[path]]
+    assert not differ, f"{len(differ)} files differ from their recorded digests: {differ}"
+
+
 def golden_literal() -> str:
-    """The GOLDEN dict of this checkout, in the layout of the literal above."""
+    """The GOLDEN and CLI_GOLDEN dicts of this checkout, in the layout of the literals above."""
     lines = ["GOLDEN = {"]
     for scenario in sorted(GOLDEN):
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -203,6 +246,12 @@ def golden_literal() -> str:
         lines.append(f'    "{scenario}": {{')
         lines += [f'        "{path}": "{digest}",' for path, digest in sorted(digests.items())]
         lines.append("    },")
+    lines.append("}")
+    lines.append("")
+    lines.append("CLI_GOLDEN = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = cli_exports(Path(tmp))
+    lines += [f'    "{path}": "{digest}",' for path, digest in sorted(digests.items())]
     lines.append("}")
     return "\n".join(lines)
 

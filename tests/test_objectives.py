@@ -17,10 +17,12 @@ from bwopt.geometry import (
     total_length,
 )
 from bwopt.objectives import (
+    COST_INDEX,
+    NAV_INDEX,
+    WAVE_START_INDEX,
     Baseline,
     EvaluationWarning,
     ObjectiveVector,
-    RelativeObjectiveVector,
     constraint_counts,
     cost,
     relativize,
@@ -43,9 +45,8 @@ def raw_vector(**kw):
 
 
 def rel_vector(cost=0.0, nav=0.0, waves=(0.0,)):
-    return RelativeObjectiveVector(
-        cost=cost, nav_distance=nav, wave_heights=np.array(waves, dtype=float)
-    )
+    """Relative minimization vector of the given percent changes (clearance negated)."""
+    return np.array([cost, -nav, *waves], dtype=float)
 
 
 # ----- cost -----
@@ -63,9 +64,10 @@ def test_cost_scales_with_cell_size():
 
 # ----- vectors -----
 
-def test_min_vector_negates_clearance():
-    rel = rel_vector(cost=-10.0, nav=4.0, waves=(-50.0, -25.0))
-    assert np.array_equal(rel.min_vector(), [-10.0, -4.0, -50.0, -25.0])
+def test_relativize_negates_clearance():
+    baseline = Baseline(wave_heights=np.array([2.0, 0.4]), nav_distance=100.0, cost_ref=50.0)
+    raw = raw_vector(cost=45.0, nav_distance=104.0, wave_heights=np.array([1.0, 0.3]))
+    assert relativize(raw, baseline) == pytest.approx([-10.0, -4.0, -50.0, -25.0], rel=1e-12)
 
 
 def test_violations_counter_and_feasibility():
@@ -78,26 +80,16 @@ def test_violations_counter_and_feasibility():
 # ----- relativization -----
 
 def test_relativize_baseline_is_zero():
-    baseline = Baseline(
-        wave_heights=np.array([2.0, 0.4]),
-        nav_distance=120.0,
-        cost_ref=40.0,
-        field=np.zeros((2, 2)),
-    )
+    baseline = Baseline(wave_heights=np.array([2.0, 0.4]), nav_distance=120.0, cost_ref=40.0)
     raw = raw_vector(wave_heights=np.array([2.0, 0.4]))
-    rel = relativize(raw, baseline)
-    assert abs(rel.cost) <= 1e-12
-    assert abs(rel.nav_distance) <= 1e-12
-    assert np.all(np.abs(rel.wave_heights) <= 1e-12)
+    assert np.all(np.abs(relativize(raw, baseline)) <= 1e-12)
 
 
 def test_relativize_height_drop_to_85_percent_is_minus_15():
-    baseline = Baseline(
-        wave_heights=np.array([2.0]), nav_distance=100.0, cost_ref=50.0, field=np.zeros((2, 2))
-    )
+    baseline = Baseline(wave_heights=np.array([2.0]), nav_distance=100.0, cost_ref=50.0)
     raw = raw_vector(cost=50.0, nav_distance=100.0, wave_heights=np.array([1.7]))
-    rel = relativize(raw, baseline)
-    assert rel.wave_heights[0] == pytest.approx(-15.0, abs=1e-12)
+    point = relativize(raw, baseline)
+    assert point[WAVE_START_INDEX] == pytest.approx(-15.0, abs=1e-12)
 
 
 # ----- scalar convolution -----
@@ -158,9 +150,9 @@ def test_zero_genotype_reproduces_baseline_heights(unit_scenario):
 
 
 def test_zero_genotype_relative_vector(unit_scenario):
-    rel = unit_scenario.relative(unit_scenario.evaluate(ZERO))
-    assert rel.cost == pytest.approx(-100.0)
-    assert np.all(rel.wave_heights == 0.0)
+    point = unit_scenario.min_point(unit_scenario.evaluate(ZERO))
+    assert point[COST_INDEX] == pytest.approx(-100.0)
+    assert np.all(point[WAVE_START_INDEX:] == 0.0)
 
 
 def test_blocking_wall_lowers_control_height(unit_scenario):
@@ -181,7 +173,7 @@ def test_fairway_crossing_is_penalized(unit_scenario):
     assert not raw.feasible
     # violating candidates skip the simulation and inherit baseline heights
     assert np.array_equal(raw.wave_heights, unit_scenario.baseline.wave_heights)
-    assert unit_scenario.scalar(raw) > 1e5
+    assert unit_scenario.scalar(unit_scenario.min_point(raw), raw.violations) > 1e5
 
 
 def test_crossing_existing_structure_counts(unit_scenario):
@@ -253,7 +245,7 @@ def test_model_with_only_simulate_evaluates_like_the_builtin(name, monkeypatch):
         assert (got.cost, got.nav_distance, got.violations) == (want.cost, want.nav_distance, want.violations)
         feasible += want.feasible
     assert feasible >= 5
-    assert len(built) == 2 * feasible  # the layout's cells and their merge with the existing ones
+    assert len(built) == feasible  # one set over the existing cells and the layout's
 
 
 # ----- constraint counts against the NumPy-row reference -----
@@ -340,7 +332,7 @@ def test_constraint_counts_match_numpy_row_oracle(harbor_scenario, unit_scenario
         for g in random_genotypes(scenario, rng, n):
             layout = decode(g, scenario.attachments)
             expected = (
-                oracle_self_intersections(layout, scenario.existing_polylines),
+                oracle_self_intersections(layout, [verts for verts, _ in scenario.existing_structures]),
                 oracle_fairway_intersections(layout, scenario.fairway),
                 oracle_land_coverage(layout, grid),
             )
@@ -363,10 +355,11 @@ def test_constraint_counts_match_numpy_row_oracle(harbor_scenario, unit_scenario
 def test_min_point_orders_objectives(unit_scenario):
     raw = unit_scenario.evaluate(ZERO)
     point = unit_scenario.min_point(raw)
-    rel = unit_scenario.relative(raw)
-    assert point[0] == rel.cost
-    assert point[1] == -rel.nav_distance
-    assert np.array_equal(point[2:], rel.wave_heights)
+    b = unit_scenario.baseline
+    assert point[COST_INDEX] == (raw.cost - b.cost_ref) / b.cost_ref * 100.0
+    assert point[NAV_INDEX] == -((raw.nav_distance - b.nav_distance) / b.nav_distance * 100.0)
+    waves = (raw.wave_heights - b.wave_heights) / b.wave_heights * 100.0
+    assert np.array_equal(point[WAVE_START_INDEX:], waves)
 
 
 def test_scalar_of_base_like_candidate(unit_scenario):
@@ -379,4 +372,4 @@ def test_scalar_of_base_like_candidate(unit_scenario):
         fairway_intersections=0,
         land_coverage=0,
     )
-    assert unit_scenario.scalar(raw) == pytest.approx(1.0, abs=1e-12)
+    assert unit_scenario.scalar(unit_scenario.min_point(raw), raw.violations) == pytest.approx(1.0, abs=1e-12)

@@ -284,12 +284,11 @@ def test_scenario_snap_facade(tiny_scenario, unit_scenario):
 def test_scalar_facade_equals_parts(unit_scenario):
     g = Genotype(Encoding.ANGULAR, np.array([6.0, 0.0, 0.0, 0.0]))
     raw = unit_scenario.evaluate(g)
-    rel = unit_scenario.relative(raw)
-    from bwopt.objectives import single_objective
+    point = unit_scenario.min_point(raw)
+    from bwopt.objectives import relativize, single_objective
 
-    assert unit_scenario.scalar(raw) == pytest.approx(
-        single_objective(rel, violations=raw.violations)
-    )
+    assert np.array_equal(point, relativize(raw, unit_scenario.baseline))
+    assert unit_scenario.scalar(point, raw.violations) == single_objective(point, violations=raw.violations)
 
 
 def test_transmission_defaults_and_overrides():

@@ -430,7 +430,7 @@ def test_heights_match_the_dense_kernel_on_every_feasible_layout_of_a_run(name, 
         raw = evaluate(genotype, scn)
         if raw.feasible:
             cells = rasterize(decode(genotype, scn.attachments), scn.grid, scn.transmission)
-            obstacles = scn.existing_obstacles.merged_with(ObstacleSet.from_pairs(cells))
+            obstacles = ObstacleSet.from_pairs([*scn.existing_cells, *cells])
             field = dense_simulate(scn.grid, obstacles, scn.boundary, scn.diffusion_passes)
             assert raw.wave_heights.tobytes() == sample(field, scn.control_points).tobytes()
             checked.append(genotype)
@@ -458,11 +458,12 @@ def test_obstacle_set_clamps_coefficients():
 
 
 def test_obstacle_merge():
-    a = ObstacleSet({(0, 0): 0.5})
-    b = ObstacleSet({(0, 0): 0.3, (1, 0): 0.8})
-    merged = a.merged_with(b)
-    assert merged.cells == {(0, 0): 0.3, (1, 0): 0.8}
-    assert a.cells == {(0, 0): 0.5}  # inputs untouched
+    # simulate_layout merges the existing cells and a layout's cells in one from_pairs
+    existing = [((0, 0), 0.5), ((2, 0), 0.1)]
+    added = [((1, 0), 0.8), ((0, 0), 0.3)]
+    merged = ObstacleSet.from_pairs([*existing, *added])
+    assert merged.cells == {(0, 0): 0.3, (2, 0): 0.1, (1, 0): 0.8}
+    assert list(merged.cells) == [(0, 0), (2, 0), (1, 0)]  # first-seen order
 
 
 def test_boundary_rejects_nonpositive_height():
