@@ -6,6 +6,7 @@ import pytest
 from bwopt.cli import main
 from bwopt.experiment import shipped_scenario_path
 from bwopt.geometry import Encoding, Genotype, Material
+from bwopt.objectives import simulate_layout
 from bwopt.scenario import (
     GeneLevels,
     ScenarioError,
@@ -13,6 +14,7 @@ from bwopt.scenario import (
     load_scenario,
     scenario_to_json,
 )
+from bwopt.wave import sample
 from conftest import scenario_dict
 
 
@@ -36,6 +38,9 @@ def test_harbor_baseline_values(harbor_scenario):
     assert np.all(b.wave_heights < 3.0)
     # the first control point is far less sheltered than the inner two
     assert b.wave_heights[0] > 4 * max(b.wave_heights[1], b.wave_heights[2])
+    # loading takes the candidates' heights path, the same bits as sampling the full-grid field
+    full = sample(simulate_layout([], harbor_scenario), harbor_scenario.control_points)
+    assert b.wave_heights.tobytes() == full.tobytes()
 
 
 def test_tiny_scenario_is_discretized(tiny_scenario):
