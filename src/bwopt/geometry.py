@@ -15,9 +15,9 @@ rows, at a fraction of the cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,34 +52,26 @@ def normalize_angle(angle):
 
 @dataclass(frozen=True)
 class ScenarioGrid:
-    """Regular bathymetry grid; land cells carry the LAND sentinel depth."""
+    """Regular bathymetry grid; n_rows, n_cols and land_mask (the LAND cells) are read off depth."""
 
-    n_cols: int
-    n_rows: int
-    cell_size: float
     depth: np.ndarray      # (n_rows, n_cols), meters; LAND on land
-    land_mask: np.ndarray  # (n_rows, n_cols), bool
+    cell_size: float = 25.0
+    n_rows: int = field(init=False)
+    n_cols: int = field(init=False)
+    land_mask: np.ndarray = field(init=False)  # (n_rows, n_cols), bool
 
     def __post_init__(self) -> None:
-        if self.n_cols < 2 or self.n_rows < 2:
-            raise ValueError("grid must be at least 2x2")
+        depth = np.asarray(self.depth, dtype=float)
+        if depth.ndim != 2 or depth.shape[0] < 2 or depth.shape[1] < 2:
+            raise ValueError(f"depth must be at least 2x2, got shape {depth.shape}")
         if not self.cell_size > 0:
-            raise ValueError("cell_size must be positive")
-        if self.depth.shape != (self.n_rows, self.n_cols):
-            raise ValueError("depth shape does not match grid dimensions")
-        if not np.array_equal(self.land_mask, self.depth == LAND):
-            raise ValueError("land_mask must mark exactly the LAND-sentinel cells")
-
-    @classmethod
-    def from_depth(cls, depth: np.ndarray, cell_size: float = 25.0) -> "ScenarioGrid":
-        depth = np.asarray(depth, dtype=float)
-        return cls(
-            n_cols=depth.shape[1],
-            n_rows=depth.shape[0],
-            cell_size=float(cell_size),
-            depth=depth,
-            land_mask=depth == LAND,
-        )
+            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        derive = partial(object.__setattr__, self)
+        derive("depth", depth)
+        derive("cell_size", float(self.cell_size))
+        derive("n_rows", depth.shape[0])
+        derive("n_cols", depth.shape[1])
+        derive("land_mask", depth == LAND)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell (col, row) containing the continuous point (x, y)."""

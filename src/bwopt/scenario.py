@@ -3,16 +3,19 @@
 A scenario bundles everything needed to evaluate candidate layouts: the
 grid, the existing protective structures, attachment points for new
 breakwaters, control points whose wave heights matter, the fairway, the
-incident sea state, and initialization ranges for the optimizer. Loading a
-scenario also computes the baseline (existing configuration) values that
-anchor the relative objectives. The baseline wave heights take the path
-every candidate takes (objectives.wave_heights with no new cells), so for
-the built-in model loading runs no full-grid simulation.
+incident sea state, and initialization ranges for the optimizer. A Scenario
+is frozen: constructing one validates it and derives the baseline (existing
+configuration) values that anchor the relative objectives. The baseline
+wave heights take every candidate's path (objectives.wave_heights with no
+new cells) through the scenario's own wave model, so
+dataclasses.replace(scenario, wave_model=m) gives a scenario whose baseline
+comes from m.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +93,13 @@ class GeneLevels:
         return Genotype(Encoding.ANGULAR, genes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """Validated on construction; the fields after wave_model are derived from those before it.
+
+    wave_model defaults to ShadowDiffusionModel(diffusion_passes).
+    """
+
     name: str
     grid: ScenarioGrid
     boundary: BoundaryConditions
@@ -106,45 +114,43 @@ class Scenario:
     diffusion_passes: int = DEFAULT_DIFFUSION_PASSES
     violation_penalty: float = DEFAULT_VIOLATION_PENALTY
     source: dict | None = None
-
-    # filled by finalize()
     wave_model: object = None
-    existing_segments: list = field(default_factory=list)  # geometry.polyline_segments of the structures
-    fairway_segments: list = field(default_factory=list)
-    existing_cells: list = field(default_factory=list)  # geometry.rasterize of the structures
-    coefficients: np.ndarray | None = None  # wave.coefficient_grid of the existing structures
-    baseline: Baseline | None = None
+    existing_segments: list = field(init=False)  # geometry.polyline_segments of the structures
+    fairway_segments: list = field(init=False)
+    existing_cells: list = field(init=False)  # geometry.rasterize of the structures
+    coefficients: np.ndarray = field(init=False)  # wave.coefficient_grid of the existing structures
+    baseline: Baseline = field(init=False)
 
     @property
     def n_blocks(self) -> int:
         return total_blocks(self.attachments)
 
-    def finalize(self) -> "Scenario":
-        """Validate, then compute baseline values for the existing configuration."""
+    def __post_init__(self) -> None:
+        """Validate, then derive the tables and the baseline of the existing configuration."""
         violations = self._structural_violations()
         if violations:
             raise ScenarioError(violations)
+        derive = partial(object.__setattr__, self)
         if self.wave_model is None:
-            self.wave_model = ShadowDiffusionModel(self.diffusion_passes)
+            derive("wave_model", ShadowDiffusionModel(self.diffusion_passes))
         existing_layout = Layout(
             breakwaters=[verts for verts, _ in self.existing_structures],
             materials=[mat for _, mat in self.existing_structures],
         )
-        self.existing_segments = existing_layout.segments()
-        self.fairway_segments = polyline_segments([self.fairway])
-        self.existing_cells = rasterize(existing_layout, self.grid, self.transmission)
-        self.coefficients = coefficient_grid(self.grid, self.existing_cells)
-        self.baseline = Baseline(
+        derive("existing_segments", existing_layout.segments())
+        derive("fairway_segments", polyline_segments([self.fairway]))
+        derive("existing_cells", rasterize(existing_layout, self.grid, self.transmission))
+        derive("coefficients", coefficient_grid(self.grid, self.existing_cells))
+        derive("baseline", Baseline(
             wave_heights=wave_heights([], self),
             nav_distance=min_distance_to_fairway(
                 existing_layout, self.fairway, self.grid.cell_size, self.nav_sampling_step
             ),
             cost_ref=cost(self.existing_segments, self.grid.cell_size),
-        )
+        ))
         problems = self._baseline_violations()
         if problems:
             raise ScenarioError(problems)
-        return self
 
     def _structural_violations(self) -> list[str]:
         out: list[str] = []
@@ -340,7 +346,7 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
     )
     if problems or grid is None or boundary is None:
         raise ScenarioError(problems or ["scenario file is empty"])
-    scenario = Scenario(
+    return Scenario(
         name=str(data.get("name", "unnamed")),
         grid=grid,
         boundary=boundary,
@@ -356,7 +362,6 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         violation_penalty=violation_penalty,
         source=data,
     )
-    return scenario.finalize()
 
 
 def _field(data: dict, key: str, kind: type, problems: list[str]):
@@ -430,13 +435,11 @@ def _parse_grid(gdata, base_dir: Path | None, problems: list[str]) -> ScenarioGr
     else:
         problems.append("grid: needs 'depth' or 'depth_file'")
         return None
-    if depth.ndim != 2 or depth.shape[0] < 2 or depth.shape[1] < 2:
-        problems.append(f"grid: depth must be at least 2x2, got shape {depth.shape}")
+    try:
+        return ScenarioGrid(depth, cell_size)
+    except ValueError as exc:
+        problems.append(f"grid: {exc}")
         return None
-    if not cell_size > 0:
-        problems.append(f"grid: cell_size must be positive, got {cell_size}")
-        return None
-    return ScenarioGrid.from_depth(depth, cell_size)
 
 
 def scenario_to_json(scenario: Scenario) -> str:

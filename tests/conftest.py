@@ -71,8 +71,17 @@ def mc_hypervolume(points, reference, n_samples=1_000_000, seed=0):
     box = float(np.prod(ref - low))
     rng = np.random.default_rng(seed)
     samples = rng.uniform(low, ref, size=(n_samples, len(ref)))
+    # one contiguous column per axis, compared in place: the same booleans as
+    # np.all(samples >= p, axis=1), without a (n_samples, d) temporary per point
+    columns = [np.ascontiguousarray(column) for column in samples.T]
     hit = np.zeros(n_samples, dtype=bool)
+    inside = np.empty(n_samples, dtype=bool)
+    above = np.empty(n_samples, dtype=bool)
     for p in pts:
-        hit |= np.all(samples >= p, axis=1)
+        np.greater_equal(columns[0], p[0], out=inside)
+        for column, value in zip(columns[1:], p[1:]):
+            np.greater_equal(column, value, out=above)
+            inside &= above
+        hit |= inside
     rate = hit.mean()
     return rate * box, np.sqrt(rate * (1.0 - rate) / n_samples) * box

@@ -32,7 +32,7 @@ def main() -> None:
     with open("boundary.txt") as fh:
         boundary = {key: float(value) for key, value in (line.split() for line in fh)}
     field = simulate(
-        ScenarioGrid.from_depth(read_field("depth.txt")),
+        ScenarioGrid(read_field("depth.txt")),
         obstacles,
         BoundaryConditions(boundary["incident_height"], boundary["wave_direction"]),
         passes,

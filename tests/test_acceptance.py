@@ -288,7 +288,7 @@ def test_criterion_09_greedy_early_competitiveness(comparison_runs):
 
 def test_criterion_10_wave_model_properties(unit_scenario):
     depth = np.full((12, 16), 5.0)
-    grid = ScenarioGrid.from_depth(depth, cell_size=10.0)
+    grid = ScenarioGrid(depth, cell_size=10.0)
     boundary = BoundaryConditions(incident_height=2.0, wave_direction=90.0)
 
     open_field = simulate(grid, ObstacleSet(), boundary, diffusion_passes=0)

@@ -23,6 +23,7 @@ from bwopt.evolution import (
 )
 from bwopt.geometry import Encoding, Genotype, decode
 from bwopt.objectives import ObjectiveVector, cost
+from bwopt.scenario import Scenario
 
 
 class FixedInts:
@@ -491,8 +492,9 @@ def test_de_greedy_mask_checked(unit_scenario):
 
 
 def test_de_rejects_a_population_too_small_for_rand_1_before_evaluating(unit_scenario, monkeypatch):
+    # a Scenario is frozen, so the method is patched on its class
     evaluated = []
-    monkeypatch.setattr(unit_scenario, "evaluate", evaluated.append)
+    monkeypatch.setattr(Scenario, "evaluate", lambda self, genotype: evaluated.append(genotype))
     with pytest.raises(ValueError, match="rand/1 needs 3 distinct partners"):
         run_de(small_config(population_size=3), unit_scenario)
     assert evaluated == []

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -346,8 +347,8 @@ def test_experiment_with_stub_solver_same_for_any_worker_count(tmp_path, monkeyp
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         work = tmp_path / f"solver{cpus}"
-        scenario = build_scenario(scenario_dict())
-        scenario.wave_model = FileExchangeWaveModel([sys.executable, str(stub), "3"], work)
+        scenario = replace(build_scenario(scenario_dict()),
+                           wave_model=FileExchangeWaveModel([sys.executable, str(stub), "3"], work))
         run_experiment(plan, scenario, tmp_path / f"w{cpus}")
         trees.append(tree_bytes(tmp_path / f"w{cpus}"))
         workers = sorted(p.name for p in work.glob("worker_*"))
@@ -366,8 +367,8 @@ def test_stub_solver_tree_equals_the_builtin_tree(tmp_path):
                                     variants=[{"algorithm": "spea2", "encoding": "angular"},
                                               {"algorithm": "de", "encoding": "angular"}]))
     run_experiment(plan, build_scenario(scenario_dict()), tmp_path / "builtin")
-    scenario = build_scenario(scenario_dict())
-    scenario.wave_model = FileExchangeWaveModel([sys.executable, str(stub), "3"], tmp_path / "work")
+    scenario = replace(build_scenario(scenario_dict()),
+                       wave_model=FileExchangeWaveModel([sys.executable, str(stub), "3"], tmp_path / "work"))
     run_experiment(plan, scenario, tmp_path / "external")
     builtin, external = tree_bytes(tmp_path / "builtin"), tree_bytes(tmp_path / "external")
     assert len(builtin) == 24

@@ -11,6 +11,7 @@ from bwopt.geometry import (
     AttachmentPoint,
     Encoding,
     Genotype,
+    LAND,
     Layout,
     Material,
     ScenarioGrid,
@@ -43,7 +44,30 @@ def mk_layout(*vertex_arrays):
 
 
 def water_grid(n_cols=20, n_rows=20, cell_size=1.0):
-    return ScenarioGrid.from_depth(np.full((n_rows, n_cols), 5.0), cell_size)
+    return ScenarioGrid(np.full((n_rows, n_cols), 5.0), cell_size)
+
+
+# ----- grid -----
+
+def test_grid_is_derived_from_depth():
+    depth = np.full((3, 4), 5.0)
+    depth[2] = LAND
+    grid = ScenarioGrid(depth)
+    assert (grid.n_rows, grid.n_cols, grid.cell_size) == (3, 4, 25.0)
+    assert grid.land_mask.tolist() == [[False] * 4, [False] * 4, [True] * 4]
+
+
+@pytest.mark.parametrize("depth", [np.full(4, 5.0), np.full((1, 4), 5.0), np.full((4, 1), 5.0),
+                                   np.full((2, 2, 2), 5.0)])
+def test_grid_rejects_depth_that_is_not_at_least_2x2(depth):
+    with pytest.raises(ValueError, match="at least 2x2"):
+        ScenarioGrid(depth)
+
+
+@pytest.mark.parametrize("cell_size", [0.0, -1.0])
+def test_grid_rejects_non_positive_cell_size(cell_size):
+    with pytest.raises(ValueError, match="cell_size must be positive"):
+        ScenarioGrid(np.full((2, 2), 5.0), cell_size)
 
 
 # ----- angles and genotypes -----

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,8 +236,7 @@ def test_builtin_evaluation_builds_no_obstacle_set(harbor_scenario, monkeypatch)
 @pytest.mark.parametrize("name", ["sochi_like", "tiny_discrete"])
 def test_model_with_only_simulate_evaluates_like_the_builtin(name, monkeypatch):
     builtin = resolve_scenario(name)
-    fallback = resolve_scenario(name)
-    fallback.wave_model = SimulateOnlyModel(fallback.diffusion_passes)
+    fallback = replace(builtin, wave_model=SimulateOnlyModel(builtin.diffusion_passes))
     built = counting_obstacle_sets(monkeypatch)
     feasible = 0
     for g in angular_genotypes(builtin, 60, 9):

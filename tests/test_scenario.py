@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bwopt.cli import main
 from bwopt.experiment import shipped_scenario_path
 from bwopt.geometry import Encoding, Genotype, Material
-from bwopt.objectives import simulate_layout
+from bwopt.objectives import WAVE_START_INDEX, simulate_layout
 from bwopt.scenario import (
     GeneLevels,
     ScenarioError,
@@ -14,7 +15,7 @@ from bwopt.scenario import (
     load_scenario,
     scenario_to_json,
 )
-from bwopt.wave import sample
+from bwopt.wave import ObstacleSet, sample, simulate
 from conftest import scenario_dict
 
 
@@ -56,6 +57,37 @@ def test_unit_scenario_baseline(unit_scenario):
     assert b.cost_ref == pytest.approx(40.0)      # 4-cell groin at 10 m cells
     assert b.nav_distance == pytest.approx(120.0)  # 12 cells to the fairway
     assert b.wave_heights == pytest.approx([2.0])  # control point unshadowed
+
+
+# ----- wave model -----
+
+class HalvedModel:
+    """A simulate-only wave model whose field is half the built-in one."""
+
+    def __init__(self, passes):
+        self.passes = passes
+
+    def simulate(self, grid, obstacles, boundary):
+        return 0.5 * simulate(grid, obstacles, boundary, self.passes)
+
+
+def test_replacing_the_wave_model_takes_the_baseline_from_it(harbor_scenario):
+    halved = replace(harbor_scenario, wave_model=HalvedModel(harbor_scenario.diffusion_passes))
+    field = halved.wave_model.simulate(
+        halved.grid, ObstacleSet.from_pairs(halved.existing_cells), halved.boundary
+    )
+    assert halved.baseline.wave_heights.tobytes() == sample(field, halved.control_points).tobytes()
+    # halving is exact, so the built-in baseline halves bit for bit
+    assert np.array_equal(halved.baseline.wave_heights, 0.5 * harbor_scenario.baseline.wave_heights)
+    # the unchanged layout (every segment length 0) keeps every wave height
+    unchanged = Genotype(Encoding.ANGULAR, np.zeros(2 * halved.n_blocks))
+    point = halved.min_point(halved.evaluate(unchanged))
+    assert point[WAVE_START_INDEX:].tolist() == [0.0] * len(halved.control_points)
+
+
+def test_scenario_is_frozen(unit_scenario):
+    with pytest.raises(FrozenInstanceError):
+        unit_scenario.wave_model = HalvedModel(unit_scenario.diffusion_passes)
 
 
 # ----- validation -----

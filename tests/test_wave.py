@@ -24,7 +24,7 @@ H0 = 2.0
 
 
 def open_grid(n_cols=12, n_rows=10):
-    return ScenarioGrid.from_depth(np.full((n_rows, n_cols), 5.0), 25.0)
+    return ScenarioGrid(np.full((n_rows, n_cols), 5.0), 25.0)
 
 
 def south_boundary():
@@ -80,7 +80,7 @@ def test_horizontal_ray_oracle_row_products():
 def test_land_blocks_completely():
     depth = np.full((10, 12), 5.0)
     depth[4, :] = LAND
-    grid = ScenarioGrid.from_depth(depth, 25.0)
+    grid = ScenarioGrid(depth, 25.0)
     field = simulate(grid, ObstacleSet(), south_boundary(), diffusion_passes=0)
     assert np.all(field[:4] == H0)
     assert np.all(field[4:] == 0.0)
@@ -146,7 +146,7 @@ def test_bounds_and_land_zero_on_random_fields():
         depth = np.full((9, 9), 5.0)
         for _ in range(6):
             depth[rng.integers(0, 9), rng.integers(0, 9)] = LAND
-        grid = ScenarioGrid.from_depth(depth, 25.0)
+        grid = ScenarioGrid(depth, 25.0)
         cells = {
             (int(rng.integers(0, 9)), int(rng.integers(0, 9))): float(rng.uniform(0, 1))
             for _ in range(5)
@@ -261,7 +261,7 @@ def dense_diffuse(field, water, passes):
 def random_grid(rng, n_cols, n_rows):
     depth = rng.uniform(1.0, 20.0, size=(n_rows, n_cols))
     depth[rng.random((n_rows, n_cols)) < rng.uniform(0.0, 0.3)] = LAND
-    return ScenarioGrid.from_depth(depth, 25.0)
+    return ScenarioGrid(depth, 25.0)
 
 
 def random_obstacles(rng, grid):
@@ -301,7 +301,7 @@ def test_simulate_matches_dense_kernel_on_long_obstacle_chains():
     rng = np.random.default_rng(5)
     depth = np.full((30, 40), 8.0)
     depth[rng.random((30, 40)) < 0.03] = LAND
-    grid = ScenarioGrid.from_depth(depth, 25.0)
+    grid = ScenarioGrid(depth, 25.0)
     cells = {}
     for _ in range(150):
         cells[(int(rng.integers(0, 40)), int(rng.integers(0, 30)))] = float(rng.uniform(0.05, 0.95))
@@ -401,7 +401,7 @@ def test_heights_are_bit_identical_to_the_dense_kernel():
 def test_coefficient_grid_marks_land_obstacles_and_the_sentinel():
     depth = np.full((3, 4), 5.0)
     depth[2, 0] = LAND
-    grid = ScenarioGrid.from_depth(depth, 25.0)
+    grid = ScenarioGrid(depth, 25.0)
     cells = {(1, 0): 0.25, (2, 1): 1.0, (3, 2): 0.0, (0, 2): 0.5, (9, 9): 0.1, (-1, 0): 0.1}
     got = coefficient_grid(grid, cells.items())
     want = np.ones(13)
@@ -526,7 +526,7 @@ def fixed_heights_model(tmp_path, text):
 @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
 def test_file_exchange_model_rejects_bad_water_heights(tmp_path, bad):
     model = fixed_heights_model(tmp_path, f"1 1 1\n1 1 {bad}\n{bad} 1 1\n")
-    grid = ScenarioGrid.from_depth(np.full((3, 3), 5.0), 25.0)
+    grid = ScenarioGrid(np.full((3, 3), 5.0), 25.0)
     with pytest.raises(ValueError, match=r"returned 2 .* \(row, col\) = \(1, 2\)"):
         model.simulate(grid, ObstacleSet(), south_boundary())
 
@@ -535,7 +535,7 @@ def test_file_exchange_model_ignores_nan_on_land(tmp_path):
     model = fixed_heights_model(tmp_path, "nan 1 1\n1 1 1\n1 1 1\n")
     depth = np.full((3, 3), 5.0)
     depth[0, 0] = LAND
-    grid = ScenarioGrid.from_depth(depth, 25.0)
+    grid = ScenarioGrid(depth, 25.0)
     field = model.simulate(grid, ObstacleSet(), south_boundary())
     assert field[0, 0] == 0.0
     assert np.all(field.ravel()[1:] == 1.0)
@@ -557,7 +557,7 @@ def test_file_exchange_model_round_trip(tmp_path):
     script.write_text(EXTERNAL_MODEL)
     depth = np.full((4, 5), 5.0)
     depth[0, 0] = LAND
-    grid = ScenarioGrid.from_depth(depth, 25.0)
+    grid = ScenarioGrid(depth, 25.0)
     model = FileExchangeWaveModel([sys.executable, str(script)], tmp_path / "work")
     field = model.simulate(grid, ObstacleSet({(1, 1): 0.5}), south_boundary())
     assert field.shape == (4, 5)
@@ -573,7 +573,7 @@ def test_file_exchange_model_round_trip(tmp_path):
 def test_file_exchange_model_rejects_wrong_shape(tmp_path):
     script = tmp_path / "model.py"
     script.write_text('open("heights.txt", "w").write("1.0 2.0\\n")\n')
-    grid = ScenarioGrid.from_depth(np.full((3, 3), 5.0), 25.0)
+    grid = ScenarioGrid(np.full((3, 3), 5.0), 25.0)
     model = FileExchangeWaveModel([sys.executable, str(script)], tmp_path / "work")
     with pytest.raises(ValueError):
         model.simulate(grid, ObstacleSet(), south_boundary())
@@ -581,7 +581,7 @@ def test_file_exchange_model_rejects_wrong_shape(tmp_path):
 
 def test_file_exchange_model_propagates_command_failure(tmp_path):
     command = [sys.executable, "-c", "import sys; sys.stderr.write('boom'); sys.exit(3)"]
-    grid = ScenarioGrid.from_depth(np.full((3, 3), 5.0), 25.0)
+    grid = ScenarioGrid(np.full((3, 3), 5.0), 25.0)
     model = FileExchangeWaveModel(command, tmp_path / "work")
     with pytest.raises(RuntimeError, match=r"exited with status 3; stderr tail: 'boom'"):
         model.simulate(grid, ObstacleSet(), south_boundary())
@@ -589,7 +589,7 @@ def test_file_exchange_model_propagates_command_failure(tmp_path):
 
 def test_file_exchange_model_quotes_only_the_stderr_tail(tmp_path):
     command = [sys.executable, "-c", "import sys; sys.stderr.write('x' * 5000 + 'END'); sys.exit(1)"]
-    grid = ScenarioGrid.from_depth(np.full((3, 3), 5.0), 25.0)
+    grid = ScenarioGrid(np.full((3, 3), 5.0), 25.0)
     model = FileExchangeWaveModel(command, tmp_path / "work")
     with pytest.raises(RuntimeError) as info:
         model.simulate(grid, ObstacleSet(), south_boundary())
