@@ -28,7 +28,7 @@ from .experiment import (
     run_experiment,
     write_json,
 )
-from .geometry import Encoding, Genotype, decode, rasterize
+from .geometry import Encoding, Genotype, decode, rasterize, segment_groups
 from .metrics import hypervolume, reference_point
 from .objectives import COST_INDEX, NAV_INDEX, WAVE_START_INDEX, simulate_layout
 from .scenario import ScenarioError
@@ -246,7 +246,8 @@ def _export_field(args: argparse.Namespace) -> int:
         member = members[args.member]
         genotype = Genotype(Encoding(member["encoding"]), np.array(member["genes"], dtype=float))
         layout = decode(genotype, scenario.attachments)
-        field = simulate_layout(rasterize(layout, scenario.grid, scenario.transmission), scenario)
+        groups = segment_groups(layout.breakwaters)
+        field = simulate_layout(rasterize(groups, layout.materials, scenario.grid, scenario.transmission), scenario)
         new_polylines = layout.breakwaters
         label = f"member {args.member} of {args.front}"
     else:

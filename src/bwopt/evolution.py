@@ -25,12 +25,13 @@ Both loops follow one generation contract:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Encoding, Genotype
-from .metrics import dominance, nondominated
+from .metrics import dominance
 from .objectives import ObjectiveVector
 
 
@@ -218,18 +219,34 @@ def _truncate(candidates: list[Individual], target: int, rng: np.random.Generato
     """SPEA2 archive truncation: drop the most crowded individual repeatedly.
 
     The victim has the lexicographically smallest sorted distance vector to
-    the survivors (nearest neighbor first); exact ties are broken uniformly.
+    the survivors (nearest neighbor first); exact ties are broken uniformly
+    by one rng.integers(len(ties)) draw over the tied individuals in
+    candidate order, and a unique victim draws nothing. Survivors keep their
+    candidate order.
+
+    Each row's sorted key is kept across removals, as a list of plain
+    floats (the array's own doubles): the distances are sorted once, and a
+    removal deletes the victim's row and, from every other row, one copy of
+    that row's distance to the victim, which leaves exactly the sorted
+    distances to the survivors. Python compares lists lexicographically, so
+    min(keys) is the smallest key and an equality scan lists its ties in
+    ascending order. The self-distance is inf, so it sorts last and is equal
+    in every key.
     """
     points = np.array([ind.point for ind in candidates])
     dist = _pairwise_distances(points)
-    np.fill_diagonal(dist, np.inf)  # the self-distance sorts last, equal in every key
-    alive = np.arange(len(candidates))
+    np.fill_diagonal(dist, np.inf)
+    keys = np.sort(dist, axis=1).tolist()
+    rows = dist.tolist()
+    alive = list(range(len(candidates)))
     while len(alive) > target:
-        keys = np.sort(dist[np.ix_(alive, alive)], axis=1)
-        lowest = keys[np.lexsort(keys.T[::-1])[0]]
-        ties = np.flatnonzero(np.all(keys == lowest, axis=1))
+        lowest = min(keys)
+        ties = [i for i, key in enumerate(keys) if key == lowest]
         victim = ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
-        alive = np.delete(alive, victim)
+        del keys[victim]
+        gone = alive.pop(victim)
+        for i, key in zip(alive, keys):
+            del key[bisect_left(key, rows[i][gone])]
     return [candidates[i] for i in alive]
 
 
@@ -280,18 +297,31 @@ def _evaluate(genotype: Genotype, scenario, generation: int, index: int) -> Indi
 def _update_front(front: list[Individual], newcomers: list[Individual]) -> list[Individual]:
     """Cumulative nondominated set over all feasible evaluated individuals.
 
-    Exact duplicate points keep their earliest representative, so reruns are
-    deterministic and the front stays small.
+    front must be a result of _update_front (or empty): nondominated, with
+    no two members at the same point. Only the feasible newcomers are
+    checked, on the newcomer x front and newcomer x newcomer planes of
+    a <= b in every objective: two points are equal when each is <= the
+    other (so -0.0 and 0.0 are equal, and a NaN point equals nothing), and
+    otherwise a <= b is dominance. A newcomer equal to a front member or to
+    an earlier newcomer is dropped, so an exact duplicate keeps its earliest
+    copy and reruns are deterministic. The result is the front members no
+    newcomer dominates, in front order, then the newcomers nothing
+    dominates, in order.
     """
-    candidates = list(front) + [ind for ind in newcomers if ind.objectives.feasible]
-    if not candidates:
-        return []
-    seen: dict[tuple, Individual] = {}
-    for ind in candidates:
-        seen.setdefault(tuple(ind.point), ind)
-    unique = list(seen.values())
-    points = np.array([ind.point for ind in unique])
-    return [unique[i] for i in nondominated(points)]
+    fresh = [ind for ind in newcomers if ind.objectives.feasible]
+    if not fresh:
+        return list(front)
+    new = np.array([ind.point for ind in fresh])
+    below = np.all(new[:, None] <= new[None], axis=2)  # [i, j]: newcomer i <= newcomer j
+    lost = (np.triu(below & below.T, 1) | (below & ~below.T)).any(axis=0)
+    if front:
+        old = np.array([ind.point for ind in front])
+        new_le_old = np.all(new[:, None] <= old[None], axis=2)
+        old_le_new = np.all(old[:, None] <= new[None], axis=2)
+        lost |= old_le_new.any(axis=0)  # equal to or dominated by a front member
+        beaten = (new_le_old & ~old_le_new.T).any(axis=0)
+        front = [ind for ind, out in zip(front, beaten) if not out]
+    return front + [ind for ind, out in zip(fresh, lost) if not out]
 
 
 def _check_mask(history: RunHistory, child: Genotype, parent: Genotype, mask: slice) -> None:

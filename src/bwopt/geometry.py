@@ -7,10 +7,17 @@ coordinates are cell centers, so cell (i, j) covers the half-open square
 from the +x axis.
 
 Per-segment loops (crossings, rasterization, lengths) run on plain-float
-segments from `polyline_segments`: `.tolist()` yields the arrays' own IEEE
-doubles, and Python floats round +, - and * exactly as NumPy float64 scalars
-do, so every count, cell and length is bit-identical to a loop over NumPy
-rows, at a fraction of the cost.
+segments from `segment_groups`, one list per polyline, built once per model
+run and shared by the crossing counts, the cost and the rasterization.
+`.tolist()` yields the arrays' own IEEE doubles, and Python floats round +,
+- and * exactly as NumPy float64 scalars do, so every count, cell and length
+is bit-identical to a loop over NumPy rows, at a fraction of the cost. The
+crossing count is one inline loop: per segment it takes the direction once,
+computes the two orientations of the other segment's endpoints, and only
+when they straddle the segment computes the two that decide the crossing,
+each with the very products and differences of the textbook orientation
+test, so every sign is the same. `decode` builds each polyline's vertices
+in plain floats too and makes one array per breakwater.
 """
 from __future__ import annotations
 
@@ -137,6 +144,9 @@ class Genotype:
         return Genotype(self.encoding, self.genes.copy())
 
 
+Segment = tuple[tuple[float, float], tuple[float, float]]
+
+
 @dataclass
 class Layout:
     """Decoded breakwater polylines, one per attachment, in cell coordinates."""
@@ -144,21 +154,26 @@ class Layout:
     breakwaters: list[np.ndarray]  # each (k_i + 1, 2), first vertex = attachment
     materials: list[Material]
 
-    def segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    def segments(self) -> list[Segment]:
         """Non-degenerate segments over all breakwaters, as plain floats."""
         return polyline_segments(self.breakwaters)
 
 
-def polyline_segments(polylines) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Non-degenerate ((x0, y0), (x1, y1)) plain-float segments of the polylines, in order.
+def segment_groups(polylines) -> list[list[Segment]]:
+    """Each polyline's non-degenerate ((x0, y0), (x1, y1)) plain-float segments, in order.
 
     Zero-length segments are dropped: they cross nothing and cover no cell.
     """
     out = []
     for verts in polylines:
         points = [tuple(v) for v in np.asarray(verts, dtype=float).tolist()]
-        out.extend((p, q) for p, q in zip(points[:-1], points[1:]) if p != q)
+        out.append([(p, q) for p, q in zip(points[:-1], points[1:]) if p != q])
     return out
+
+
+def polyline_segments(polylines) -> list[Segment]:
+    """The segments of segment_groups, flattened in polyline order."""
+    return [s for group in segment_groups(polylines) for s in group]
 
 
 def total_length(segments) -> float:
@@ -178,32 +193,30 @@ def decode(genotype: Genotype, attachments: list[Attachment]) -> Layout:
     (zero-length blocks still turn the heading); zero-length segments leave
     the vertex where it was.
     """
-    blocks = genotype.blocks
+    blocks = genotype.blocks.tolist()
     if len(blocks) != total_blocks(attachments):
         raise ValueError(
             f"genotype has {len(blocks)} blocks, attachments require {total_blocks(attachments)}"
         )
     breakwaters: list[np.ndarray] = []
-    materials: list[Material] = []
     k = 0
     for att in attachments:
         own = blocks[k : k + att.n_segments]
         k += att.n_segments
-        verts = np.empty((att.n_segments + 1, 2), dtype=float)
-        verts[0] = (att.point.x, att.point.y)
+        x, y = att.point.x, att.point.y
         if genotype.encoding is Encoding.CARTESIAN:
-            verts[1:] = own
+            verts = [(x, y), *own]
         else:
+            verts = [(x, y)]
             heading = att.point.base_angle
-            x, y = att.point.x, att.point.y
-            for i, (length, rel_angle) in enumerate(own):
+            for length, rel_angle in own:
                 heading += rel_angle
-                x += length * math.cos(math.radians(heading))
-                y += length * math.sin(math.radians(heading))
-                verts[i + 1] = (x, y)
-        breakwaters.append(verts)
-        materials.append(att.material)
-    return Layout(breakwaters, materials)
+                angle = math.radians(heading)
+                x += length * math.cos(angle)
+                y += length * math.sin(angle)
+                verts.append((x, y))
+        breakwaters.append(np.array(verts, dtype=float))
+    return Layout(breakwaters, [att.material for att in attachments])
 
 
 def convert(genotype: Genotype, attachments: list[Attachment], target: Encoding) -> Genotype:
@@ -236,37 +249,28 @@ def convert(genotype: Genotype, attachments: list[Attachment], target: Encoding)
 
 # ----- intersection predicates -------------------------------------------
 
-def _orient(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def segments_cross(p1, p2, q1, q2) -> bool:
-    """True iff the open segments cross transversally.
-
-    Touching configurations (shared endpoints, T-junctions, collinear
-    overlap) do not count as crossings.
-    """
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
 def count_crossings(segments, others=None) -> int:
     """Transversal crossings between two segment lists, or within one.
 
     With others, every (segment, other) pair is tested; without, every pair
-    of distinct segments once. Shared chain vertices are touches, not
-    crossings.
+    of distinct segments once. A pair crosses when each segment's endpoints
+    lie strictly on opposite sides of the other's line, so touching
+    configurations (shared endpoints, T-junctions, collinear overlap) are not
+    crossings, and neither are shared chain vertices.
     """
-    if others is None:
-        return sum(
-            segments_cross(*segments[i], *segments[j])
-            for i in range(len(segments))
-            for j in range(i + 1, len(segments))
-        )
-    return sum(segments_cross(*s, *o) for s in segments for o in others)
+    count = 0
+    for i, ((ax, ay), (bx, by)) in enumerate(segments):
+        ex, ey = bx - ax, by - ay
+        for (cx, cy), (dx, dy) in segments[i + 1 :] if others is None else others:
+            d3 = ex * (cy - ay) - ey * (cx - ax)
+            d4 = ex * (dy - ay) - ey * (dx - ax)
+            if d3 * d4 < 0:
+                fx, fy = dx - cx, dy - cy
+                d1 = fx * (ay - cy) - fy * (ax - cx)
+                d2 = fx * (by - cy) - fy * (bx - cx)
+                if d1 * d2 < 0:
+                    count += 1
+    return count
 
 
 # ----- rasterization ------------------------------------------------------
@@ -316,20 +320,23 @@ def supercover_line(p0, p1) -> list[tuple[int, int]]:
 
 
 def rasterize(
-    layout: Layout,
+    groups: list[list[Segment]],
+    materials: list[Material],
     grid: ScenarioGrid,
     transmission: dict[Material, float],
 ) -> list[tuple[tuple[int, int], float]]:
     """Obstacle cells for the wave model: ((col, row), transmission coefficient).
 
-    Cells covered by more than one structure keep the smallest (most
-    blocking) coefficient. Cells outside the grid are dropped. The distinct
-    cells double as the layout's footprint for the land-coverage constraint.
+    groups holds each structure's segments (segment_groups), materials its
+    material. Cells covered by more than one structure keep the smallest
+    (most blocking) coefficient. Cells outside the grid are dropped. The
+    distinct cells double as the layout's footprint for the land-coverage
+    constraint.
     """
     out: dict[tuple[int, int], float] = {}
-    for verts, mat in zip(layout.breakwaters, layout.materials):
+    for segments, mat in zip(groups, materials):
         coeff = float(transmission[mat])
-        for p, q in polyline_segments([verts]):
+        for p, q in segments:
             for col, row in supercover_line(p, q):
                 if 0 <= col < grid.n_cols and 0 <= row < grid.n_rows:
                     prev = out.get((col, row))

@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Genotype, count_crossings, decode, min_distance_to_fairway, rasterize, total_length
+from .geometry import (
+    Genotype,
+    Layout,
+    count_crossings,
+    decode,
+    min_distance_to_fairway,
+    rasterize,
+    segment_groups,
+    total_length,
+)
 from .wave import ObstacleSet, sample, with_obstacles
 
 DENOMINATOR_EPS = 1e-6
@@ -97,30 +106,35 @@ def _layout_constraints(segments, cells, scenario) -> tuple[int, int, int]:
     )
 
 
+def _layout_geometry(genotype: Genotype, scenario) -> tuple[Layout, list, list]:
+    """(Layout, its segments, its rasterized cells): each breakwater's segments are built once."""
+    layout = decode(genotype, scenario.attachments)
+    groups = segment_groups(layout.breakwaters)
+    cells = rasterize(groups, layout.materials, scenario.grid, scenario.transmission)
+    return layout, [s for group in groups for s in group], cells
+
+
 def constraint_counts(genotype: Genotype, scenario) -> tuple[int, int, int]:
     """Cheap feasibility probe without a wave simulation.
 
     Returns (self intersections, fairway intersections, land cells covered);
     all zero means the candidate is feasible.
     """
-    layout = decode(genotype, scenario.attachments)
-    cells = rasterize(layout, scenario.grid, scenario.transmission)
-    return _layout_constraints(layout.segments(), cells, scenario)
+    _, segments, cells = _layout_geometry(genotype, scenario)
+    return _layout_constraints(segments, cells, scenario)
 
 
 def evaluate(genotype: Genotype, scenario) -> ObjectiveVector:
     """Evaluate one candidate against a scenario.
 
-    The layout's segments are built once, for the crossing counts and the
-    cost, and it is rasterized once; the same cells give the land-coverage
-    count and, for a feasible candidate, the obstacles of the wave model.
-    Constraint-violating candidates skip the wave model and inherit the
-    baseline wave heights; cost and clearance are still their own, so the
-    violation shows up as cost without protection benefit.
+    The layout's segments are built once, for the crossing counts, the cost
+    and the rasterization; the cells give the land-coverage count and, for a
+    feasible candidate, the obstacles of the wave model. Constraint-violating
+    candidates skip the wave model and inherit the baseline wave heights;
+    cost and clearance are still their own, so the violation shows up as
+    cost without protection benefit.
     """
-    layout = decode(genotype, scenario.attachments)
-    segments = layout.segments()
-    cells = rasterize(layout, scenario.grid, scenario.transmission)
+    layout, segments, cells = _layout_geometry(genotype, scenario)
     self_x, fairway_x, land = _layout_constraints(segments, cells, scenario)
     nav = min_distance_to_fairway(
         layout, scenario.fairway, scenario.grid.cell_size, scenario.nav_sampling_step

@@ -33,6 +33,7 @@ from .geometry import (
     point_polyline_distance,
     polyline_segments,
     rasterize,
+    segment_groups,
     total_blocks,
 )
 from .objectives import (
@@ -97,7 +98,10 @@ class GeneLevels:
 class Scenario:
     """Validated on construction; the fields after wave_model are derived from those before it.
 
-    wave_model defaults to ShadowDiffusionModel(diffusion_passes).
+    wave_model defaults to ShadowDiffusionModel(diffusion_passes). A built-in
+    model whose passes differ from diffusion_passes is rejected, so
+    dataclasses.replace(scenario, diffusion_passes=k, wave_model=None) is
+    the way to change the passes.
     """
 
     name: str
@@ -115,9 +119,9 @@ class Scenario:
     violation_penalty: float = DEFAULT_VIOLATION_PENALTY
     source: dict | None = None
     wave_model: object = None
-    existing_segments: list = field(init=False)  # geometry.polyline_segments of the structures
+    existing_segments: list = field(init=False)  # geometry.segment_groups of the structures, flattened
     fairway_segments: list = field(init=False)
-    existing_cells: list = field(init=False)  # geometry.rasterize of the structures
+    existing_cells: list = field(init=False)  # geometry.rasterize of the structures' segment groups
     coefficients: np.ndarray = field(init=False)  # wave.coefficient_grid of the existing structures
     baseline: Baseline = field(init=False)
 
@@ -137,9 +141,10 @@ class Scenario:
             breakwaters=[verts for verts, _ in self.existing_structures],
             materials=[mat for _, mat in self.existing_structures],
         )
-        derive("existing_segments", existing_layout.segments())
+        groups = segment_groups(existing_layout.breakwaters)
+        derive("existing_segments", [s for group in groups for s in group])
         derive("fairway_segments", polyline_segments([self.fairway]))
-        derive("existing_cells", rasterize(existing_layout, self.grid, self.transmission))
+        derive("existing_cells", rasterize(groups, existing_layout.materials, self.grid, self.transmission))
         derive("coefficients", coefficient_grid(self.grid, self.existing_cells))
         derive("baseline", Baseline(
             wave_heights=wave_heights([], self),
@@ -218,6 +223,12 @@ class Scenario:
             out.append("nav_sampling_step must be positive")
         if self.diffusion_passes < 0:
             out.append("diffusion_passes must be >= 0")
+        model = self.wave_model
+        if isinstance(model, ShadowDiffusionModel) and model.diffusion_passes != self.diffusion_passes:
+            out.append(
+                f"wave_model has {model.diffusion_passes} diffusion passes but diffusion_passes is "
+                f"{self.diffusion_passes}; replace both, or pass wave_model=None to rebuild the model"
+            )
         return out
 
     def _anchored(self, p: AttachmentPoint) -> bool:

@@ -25,6 +25,24 @@ def harbor_scenario():
     return resolve_scenario("sochi_like")
 
 
+def _orient(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def segments_cross(p1, p2, q1, q2) -> bool:
+    """True iff the open segments cross transversally: the reference for geometry.count_crossings.
+
+    The pair-by-pair orientation test the package's inline loop replaced.
+    Touching configurations (shared endpoints, T-junctions, collinear
+    overlap) do not count as crossings.
+    """
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
 def scenario_dict(**overrides) -> dict:
     """Small synthetic scenario for unit tests: open water below a coast.
 

@@ -30,6 +30,7 @@ from bwopt.geometry import (
     convert,
     decode,
     rasterize,
+    segment_groups,
 )
 from bwopt.metrics import all_front_points, hypervolume, reference_point, run_snapshots
 from bwopt.objectives import ObjectiveVector, cost, simulate_layout, single_objective
@@ -311,7 +312,8 @@ def test_criterion_10_wave_model_properties(unit_scenario):
         angles = rng.uniform(-180.0, 180.0, scenario.n_blocks)
         genotype = Genotype(Encoding.ANGULAR, np.column_stack([lengths, angles]).ravel())
         layout = decode(genotype, scenario.attachments)
-        augmented = simulate_layout(rasterize(layout, scenario.grid, scenario.transmission), scenario)
+        cells = rasterize(segment_groups(layout.breakwaters), layout.materials, scenario.grid, scenario.transmission)
+        augmented = simulate_layout(cells, scenario)
         violations += int(np.sum(augmented[water] > base_field[water] + 1e-12))
     check(
         10, "wave model properties",

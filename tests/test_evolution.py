@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwopt import evolution
 from bwopt.evolution import (
@@ -20,8 +23,10 @@ from bwopt.evolution import (
     _de_trial,
     _pairwise_distances,
     _truncate,
+    _update_front,
 )
 from bwopt.geometry import Encoding, Genotype, decode
+from bwopt.metrics import nondominated
 from bwopt.objectives import ObjectiveVector, cost
 from bwopt.scenario import Scenario
 
@@ -289,6 +294,40 @@ def test_truncation_exact_ties_match_loop_reference():
                 assert got == truncate_loop_reference(union, target, ref_rng)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 tie_draws += rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+    assert tie_draws > 0
+
+
+def truncate_resort_reference(candidates, target, rng):
+    """The truncation that re-sorted the survivors' distances for every removal, kept as the reference."""
+    points = np.array([ind.point for ind in candidates])
+    dist = _pairwise_distances(points)
+    np.fill_diagonal(dist, np.inf)
+    alive = np.arange(len(candidates))
+    while len(alive) > target:
+        keys = np.sort(dist[np.ix_(alive, alive)], axis=1)
+        lowest = keys[np.lexsort(keys.T[::-1])[0]]
+        ties = np.flatnonzero(np.all(keys == lowest, axis=1))
+        victim = ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+        alive = np.delete(alive, victim)
+    return [candidates[i] for i in alive]
+
+
+def test_truncation_of_random_5d_sets_matches_resort_reference():
+    # half the sets sit on a coarse grid with repeated points, where keys tie
+    # exactly and the uniform tie draw is taken
+    tie_draws = 0
+    for seed in range(12):
+        data = np.random.default_rng(seed)
+        points = data.uniform(-100.0, 100.0, (60, 5))
+        if seed % 2:
+            points = np.round(points / 50.0)
+            points[30:40] = points[:10]
+        union = inds_from_points(points)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _truncate(union, 30, rng)
+        assert [id(ind) for ind in got] == [id(ind) for ind in truncate_resort_reference(union, 30, ref_rng)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        tie_draws += rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
     assert tie_draws > 0
 
 
@@ -611,3 +650,44 @@ def test_evaluation_failure_reports_generation_and_index(unit_scenario):
     poisoned = PoisonedScenario(unit_scenario, fail_at=3)
     with pytest.raises(RuntimeError, match="generation 0, individual 2"):
         run_spea2(EAConfig(population_size=8, generations=2, seed=0), poisoned)
+
+
+# ----- cumulative front -----
+
+def update_front_reference(front, newcomers):
+    """The all-pairs front update over front and newcomers together, kept as the reference."""
+    candidates = list(front) + [ind for ind in newcomers if ind.objectives.feasible]
+    if not candidates:
+        return []
+    seen = {}
+    for ind in candidates:
+        seen.setdefault(tuple(ind.point), ind)
+    unique = list(seen.values())
+    points = np.array([ind.point for ind in unique])
+    return [unique[i] for i in nondominated(points)]
+
+
+# exact ties and both signed zeros are common among these coordinates
+coordinate = st.sampled_from([-0.0, 0.0, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_update_front_keeps_the_members_of_the_all_pairs_reference(data):
+    d = data.draw(st.sampled_from([2, 3, 5]))
+    front = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        drawn = data.draw(st.lists(st.tuples(st.tuples(*[coordinate] * d), st.booleans()), max_size=8))
+        points = [np.array(p) for p, _ in drawn]
+        feasible = [f for _, f in drawn]
+        if front:  # copies of front members, with the signs of their zeros redrawn
+            for i in data.draw(st.lists(st.integers(0, len(front) - 1), max_size=3)):
+                zero = data.draw(st.sampled_from([0.0, -0.0]))
+                points.append(np.where(front[i].point == 0.0, zero, front[i].point))
+                feasible.append(data.draw(st.booleans()))
+        order = data.draw(st.permutations(range(len(points))))
+        newcomers = [Individual(point=points[i], objectives=SimpleNamespace(feasible=feasible[i])) for i in order]
+        got = _update_front(front, newcomers)
+        expected = update_front_reference(front, newcomers)
+        assert [id(ind) for ind in got] == [id(ind) for ind in expected]
+        front = expected

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import segments_cross
+
 from bwopt.geometry import (
     Attachment,
     AttachmentPoint,
@@ -23,7 +25,7 @@ from bwopt.geometry import (
     polyline_segments,
     rasterize,
     sample_polyline,
-    segments_cross,
+    segment_groups,
     supercover_line,
     total_length,
     _fairway_samples,
@@ -195,6 +197,7 @@ def test_convert_zero_length_gets_angle_zero():
 
 def test_segments_cross_transversal():
     assert segments_cross((0, 0), (2, 2), (0, 2), (2, 0))
+    assert count_crossings([((0, 0), (2, 2))], [((0, 2), (2, 0))]) == 1
 
 
 def test_segments_touching_do_not_cross():
@@ -202,10 +205,23 @@ def test_segments_touching_do_not_cross():
     assert not segments_cross((0, 0), (2, 0), (2, 0), (3, 1))
     assert not segments_cross((0, 0), (2, 0), (1, 0), (1, 2))
     assert not segments_cross((0, 0), (2, 0), (1, 0), (3, 0))
+    touching = [((2, 0), (3, 1)), ((1, 0), (1, 2)), ((1, 0), (3, 0))]
+    assert count_crossings([((0, 0), (2, 0))], touching) == 0
 
 
 def test_segments_disjoint_do_not_cross():
     assert not segments_cross((0, 0), (1, 0), (0, 1), (1, 1))
+    assert count_crossings([((0, 0), (1, 0)), ((0, 1), (1, 1))]) == 0
+
+
+def pairwise_reference(segments, others=None):
+    if others is None:
+        return sum(
+            segments_cross(*segments[i], *segments[j])
+            for i in range(len(segments))
+            for j in range(i + 1, len(segments))
+        )
+    return sum(segments_cross(*s, *o) for s in segments for o in others)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,12 +236,47 @@ def test_self_intersections_match_all_pairs_oracle(flat):
         for p, q in zip(chain[:-1], chain[1:])
         if not np.array_equal(p, q)
     ]
-    oracle = sum(
-        segments_cross(*segs[i], *segs[j])
-        for i in range(len(segs))
-        for j in range(i + 1, len(segs))
-    )
-    assert count_crossings(layout.segments()) == oracle
+    assert count_crossings(layout.segments()) == pairwise_reference(segs)
+
+
+def test_crossings_match_pairwise_reference_on_touching_integer_layouts():
+    # few integer vertices in a small box: shared endpoints, T-junctions,
+    # collinear overlaps and exact crossings are all common
+    rng = np.random.default_rng(11)
+    total = 0
+    for _ in range(400):
+        chains = [rng.integers(0, 4, size=(int(rng.integers(2, 6)), 2)).astype(float) for _ in range(2)]
+        segments = polyline_segments(chains)
+        others = polyline_segments([rng.integers(0, 4, size=(3, 2)).astype(float)])
+        got = (count_crossings(segments), count_crossings(segments, others))
+        assert got == (pairwise_reference(segments), pairwise_reference(segments, others))
+        total += sum(got)
+    assert total > 0
+
+
+def test_crossings_match_pairwise_reference_on_nearly_collinear_segments():
+    # the second segment lies on the first one's line, then each endpoint
+    # coordinate moves a few ulps, so the orientation signs sit at rounding
+    rng = np.random.default_rng(12)
+    crossed = 0
+    for _ in range(3000):
+        a = rng.uniform(-50.0, 50.0, 2)
+        b = a + rng.uniform(-20.0, 20.0, 2)
+        ts = np.sort(rng.uniform(-0.5, 2.0, 2))
+        c, d = (a + t * (b - a) for t in ts)
+        nudged = []
+        for v in (*c, *d):
+            for _ in range(int(rng.integers(0, 4))):
+                v = math.nextafter(v, math.inf if rng.random() < 0.5 else -math.inf)
+            nudged.append(v)
+        s = ((float(a[0]), float(a[1])), (float(b[0]), float(b[1])))
+        o = ((nudged[0], nudged[1]), (nudged[2], nudged[3]))
+        expected = int(segments_cross(*s, *o))
+        assert count_crossings([s, o]) == expected
+        assert count_crossings([s], [o]) == expected
+        assert count_crossings([o], [s]) == int(segments_cross(*o, *s))
+        crossed += expected
+    assert crossed > 0
 
 
 def test_self_intersections_against_existing():
@@ -394,10 +445,14 @@ def test_sample_polyline_spacing_and_endpoints():
 
 # ----- rasterization -----
 
+def layout_cells(layout, grid, transmission):
+    return rasterize(segment_groups(layout.breakwaters), layout.materials, grid, transmission)
+
+
 def test_rasterize_horizontal_span():
     grid = water_grid()
     layout = mk_layout([[2.0, 5.0], [5.0, 5.0]])
-    cells = dict(rasterize(layout, grid, {Material.SOLID_WALL: 0.1}))
+    cells = dict(layout_cells(layout, grid, {Material.SOLID_WALL: 0.1}))
     assert set(cells) == {(2, 5), (3, 5), (4, 5), (5, 5)}
     assert all(c == 0.1 for c in cells.values())
 
@@ -409,7 +464,7 @@ def test_rasterize_overlap_keeps_most_blocking_coeff():
         [Material.TETRAPOD, Material.SOLID_WALL],
     )
     cells = dict(
-        rasterize(layout, grid, {Material.SOLID_WALL: 0.1, Material.TETRAPOD: 0.35})
+        layout_cells(layout, grid, {Material.SOLID_WALL: 0.1, Material.TETRAPOD: 0.35})
     )
     assert cells[(4, 5)] == 0.1
     assert cells[(3, 5)] == 0.35
@@ -473,13 +528,13 @@ def test_supercover_covers_endpoints_and_is_connected(p0, p1):
 def test_rasterize_zero_length_segment_is_empty():
     grid = water_grid()
     layout = mk_layout([[3.0, 3.0], [3.0, 3.0]])
-    assert rasterize(layout, grid, {Material.SOLID_WALL: 0.1}) == []
+    assert layout_cells(layout, grid, {Material.SOLID_WALL: 0.1}) == []
 
 
 def test_rasterize_clips_to_grid():
     grid = water_grid(n_cols=5, n_rows=5)
     layout = mk_layout([[3.0, 2.0], [9.0, 2.0]])
-    cells = [c for c, _ in rasterize(layout, grid, {Material.SOLID_WALL: 0.1})]
+    cells = [c for c, _ in layout_cells(layout, grid, {Material.SOLID_WALL: 0.1})]
     assert all(0 <= cx < 5 for cx, _ in cells)
     assert (4, 2) in cells and (3, 2) in cells
 

@@ -13,12 +13,19 @@ literals and says so in CHANGES.md. To re-record them, run
     PYTHONPATH=src python tests/test_golden_digests.py > golden.txt
 
 under the recorded numpy: it runs both plans into a temporary directory and
-prints the GOLDEN and CLI_GOLDEN dicts in the layout below, ready to paste
-over them; a diff against the committed dicts lists the files that moved.
+prints the GOLDEN and CLI_GOLDEN dicts and FULL_SIZE_DIGEST in the layout
+below, ready to paste over them; a diff against the committed literals lists
+what moved.
 
 CLI_GOLDEN holds the digests of the CLI's field exports on sochi_like:
 `bwopt baseline --out`, and `bwopt export-field` without `--front` and with
 member 0 of a short greedy `bwopt optimize` run's front (see cli_exports).
+
+The golden trees are small (4 generations of 10), so FULL_SIZE_DIGEST gates
+one full-size run too: SPEA2 angular, 30 generations of 30, EA seed 1000 on
+sochi_like, digested as perfbench/worker.py's check_search does (the run's
+label, then every final-front point's float64 bytes). It is the digest
+perfbench/results/baseline.json records for spea2_angular EA seed 1000.
 
 The literals were recorded with numpy 2.4.6 on CPython 3.11 (x86-64). Another
 numpy version may round differently, so the check runs only under the
@@ -35,6 +42,7 @@ import numpy as np
 import pytest
 
 from bwopt.cli import main
+from bwopt.evolution import EAConfig, run_spea2
 from bwopt.experiment import ExperimentPlan, VariantSpec, resolve_scenario, run_experiment
 from bwopt.geometry import Encoding
 from bwopt.objectives import EvaluationWarning
@@ -168,6 +176,8 @@ CLI_GOLDEN = {
     "member/new_structures.txt": "e576e4adb824cf3cb8dafb57a06160808ad8f51b8860818529a7052086816479",
 }
 
+FULL_SIZE_DIGEST = "de8bb995e149989b79fd307391180cf89dae77af5e004fc1652d13bdf81fb1bc"
+
 
 def golden_plan(scenario: str) -> ExperimentPlan:
     return ExperimentPlan(
@@ -236,6 +246,19 @@ def test_cli_field_exports_match_golden_digests(tmp_path):
     assert not differ, f"{len(differ)} files differ from their recorded digests: {differ}"
 
 
+def full_size_digest() -> str:
+    config = EAConfig(population_size=30, archive_size=30, generations=30, encoding=Encoding.ANGULAR, seed=1000)
+    history = run_spea2(config, resolve_scenario("sochi_like"))
+    digest = hashlib.sha256(b"spea2_angular/seed_1000")
+    for ind in history.final_front():
+        digest.update(np.ascontiguousarray(ind.point, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def test_full_size_spea2_angular_front_matches_recorded_digest():
+    assert full_size_digest() == FULL_SIZE_DIGEST
+
+
 def golden_literal() -> str:
     """The GOLDEN and CLI_GOLDEN dicts of this checkout, in the layout of the literals above."""
     lines = ["GOLDEN = {"]
@@ -253,6 +276,8 @@ def golden_literal() -> str:
         digests = cli_exports(Path(tmp))
     lines += [f'    "{path}": "{digest}",' for path, digest in sorted(digests.items())]
     lines.append("}")
+    lines.append("")
+    lines.append(f'FULL_SIZE_DIGEST = "{full_size_digest()}"')
     return "\n".join(lines)
 
 

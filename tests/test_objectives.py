@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import segments_cross
 from bwopt.evolution import EAConfig, sample_genotype
 from bwopt.experiment import resolve_scenario
 from bwopt.geometry import (
@@ -13,7 +14,7 @@ from bwopt.geometry import (
     Material,
     decode,
     rasterize,
-    segments_cross,
+    segment_groups,
     supercover_line,
     total_length,
 )
@@ -337,7 +338,8 @@ def test_constraint_counts_match_numpy_row_oracle(harbor_scenario, unit_scenario
                 oracle_land_coverage(layout, grid),
             )
             assert constraint_counts(g, scenario) == expected
-            cells = [cell for cell, _ in rasterize(layout, grid, scenario.transmission)]
+            groups = segment_groups(layout.breakwaters)
+            cells = [cell for cell, _ in rasterize(groups, layout.materials, grid, scenario.transmission)]
             assert cells == oracle_layout_cells(layout, grid)
             lengths = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in numpy_row_segments(layout)]
             assert total_length(layout.segments()).hex() == float(sum(lengths)).hex()

@@ -90,6 +90,15 @@ def test_scenario_is_frozen(unit_scenario):
         unit_scenario.wave_model = HalvedModel(unit_scenario.diffusion_passes)
 
 
+def test_builtin_model_with_other_diffusion_passes_is_rejected(harbor_scenario):
+    assert harbor_scenario.diffusion_passes == 3
+    with pytest.raises(ScenarioError, match="wave_model has 3 diffusion passes but diffusion_passes is 0"):
+        replace(harbor_scenario, diffusion_passes=0)
+    rebuilt = replace(harbor_scenario, diffusion_passes=0, wave_model=None)
+    assert rebuilt.wave_model.diffusion_passes == 0
+    assert not np.array_equal(rebuilt.baseline.wave_heights, harbor_scenario.baseline.wave_heights)
+
+
 # ----- validation -----
 
 def test_control_point_on_land_is_rejected():

@@ -420,7 +420,7 @@ def test_heights_match_the_dense_kernel_on_every_feasible_layout_of_a_run(name, 
     import bwopt.scenario as scenario_module
     from bwopt.evolution import EAConfig, run_spea2
     from bwopt.experiment import resolve_scenario
-    from bwopt.geometry import decode, rasterize
+    from bwopt.geometry import decode, rasterize, segment_groups
 
     scenario = resolve_scenario(name)
     evaluate = scenario_module.evaluate
@@ -429,7 +429,8 @@ def test_heights_match_the_dense_kernel_on_every_feasible_layout_of_a_run(name, 
     def checked_evaluate(genotype, scn):
         raw = evaluate(genotype, scn)
         if raw.feasible:
-            cells = rasterize(decode(genotype, scn.attachments), scn.grid, scn.transmission)
+            layout = decode(genotype, scn.attachments)
+            cells = rasterize(segment_groups(layout.breakwaters), layout.materials, scn.grid, scn.transmission)
             obstacles = ObstacleSet.from_pairs([*scn.existing_cells, *cells])
             field = dense_simulate(scn.grid, obstacles, scn.boundary, scn.diffusion_passes)
             assert raw.wave_heights.tobytes() == sample(field, scn.control_points).tobytes()
