@@ -246,7 +246,7 @@ def _export_field(args: argparse.Namespace) -> int:
         member = members[args.member]
         genotype = Genotype(Encoding(member["encoding"]), np.array(member["genes"], dtype=float))
         layout = decode(genotype, scenario.attachments)
-        groups = segment_groups(layout.breakwaters)
+        groups = segment_groups(layout.polylines)
         field = simulate_layout(rasterize(groups, layout.materials, scenario.grid, scenario.transmission), scenario)
         new_polylines = layout.breakwaters
         label = f"member {args.member} of {args.front}"

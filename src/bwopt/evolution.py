@@ -32,7 +32,7 @@ import numpy as np
 
 from .geometry import Encoding, Genotype
 from .metrics import dominance
-from .objectives import ObjectiveVector
+from .objectives import CandidateError, ObjectiveVector
 
 
 @dataclass
@@ -278,20 +278,30 @@ def binary_tournament(pool: list[Individual], rng: np.random.Generator) -> Indiv
 
 # ----- shared loop pieces ----------------------------------------------------
 
-def _evaluate(genotype: Genotype, scenario, generation: int, index: int) -> Individual:
+def _evaluate(genotypes: list[Genotype], scenario, generation: int, first: int = 0) -> list[Individual]:
+    """The individuals of one batch, evaluated by scenario.evaluate_many, in order.
+
+    genotypes[0] is individual first of its generation. A failure raises
+    RuntimeError naming the generation and the failing individual; a
+    failure in the batch's shared stages names the whole batch.
+    """
+    def failure(who: str) -> RuntimeError:
+        return RuntimeError(f"evaluation failed at generation {generation}, {who}")
+
     try:
-        objectives = scenario.evaluate(genotype)
-        point = scenario.min_point(objectives)
-    except Exception as exc:
-        raise RuntimeError(
-            f"evaluation failed at generation {generation}, individual {index}"
-        ) from exc
-    return Individual(
-        genotype=genotype,
-        objectives=objectives,
-        point=point,
-        fitness=None,
-    )
+        raws = scenario.evaluate_many(genotypes)
+    except CandidateError as exc:
+        raise failure(f"individual {first + exc.index}") from exc
+    except Exception as exc:  # a shared stage of the batch, which no one candidate owns
+        raise failure(f"individuals {first} to {first + len(genotypes) - 1}") from exc
+    population = []
+    for i, (genotype, objectives) in enumerate(zip(genotypes, raws)):
+        try:
+            point = scenario.min_point(objectives)
+        except Exception as exc:
+            raise failure(f"individual {first + i}") from exc
+        population.append(Individual(genotype=genotype, objectives=objectives, point=point, fitness=None))
+    return population
 
 
 def _update_front(front: list[Individual], newcomers: list[Individual]) -> list[Individual]:
@@ -381,7 +391,7 @@ def run_spea2(config: EAConfig, scenario) -> RunHistory:
     archive: list[Individual] = []
     rounds = max(1, config.generations)
     for gen in range(rounds):
-        population = [_evaluate(g, scenario, gen, i) for i, g in enumerate(genotypes)]
+        population = _evaluate(genotypes, scenario, gen)
         union = archive + population
         spea2_fitness(union)
         archive = environmental_selection(union, config.archive_size, rng)
@@ -439,7 +449,7 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
     rng = np.random.default_rng(config.seed)
     history = RunHistory(algorithm="de", config=config)
     genotypes = init_population(config, scenario, rng)
-    population = [_evaluate(g, scenario, 0, i) for i, g in enumerate(genotypes)]
+    population = _evaluate(genotypes, scenario, 0)
     for ind in population:
         ind.fitness = scenario.scalar(ind.point, ind.objectives.violations)
     _record(history, population, [], [ind.fitness for ind in population])
@@ -450,7 +460,8 @@ def run_de(config: EAConfig, scenario) -> RunHistory:
             trial_genotype = _de_trial(population, i, mask, config, scenario, rng)
             if mask is not None:
                 _check_mask(history, trial_genotype, target.genotype, mask)
-            trial = _evaluate(trial_genotype, scenario, gen, i)
+            # one at a time: the tie draw below falls between trials
+            trial = _evaluate([trial_genotype], scenario, gen, i)[0]
             trial.fitness = scenario.scalar(trial.point, trial.objectives.violations)
             if trial.fitness < target.fitness:
                 survivors.append(trial)

@@ -17,7 +17,17 @@ computes the two orientations of the other segment's endpoints, and only
 when they straddle the segment computes the two that decide the crossing,
 each with the very products and differences of the textbook orientation
 test, so every sign is the same. `decode` builds each polyline's vertices
-in plain floats too and makes one array per breakwater.
+in plain floats too, and a model run takes its segment groups straight from
+those lists; `Layout.breakwaters` gives them as arrays for the exports.
+
+Fairway clearance is measured for a whole batch of layouts at once
+(`fairway_clearances`): each layout contributes its sample runs
+(`sample_runs`, plain-float starts, directions and counts), every sample of
+the batch is built in one vectorized pass with the very operations of
+`sample_polyline`, and each sample meets only a window of the fairway's
+samples per fairway segment, around its projection, instead of every one.
+The docstring of `fairway_clearances` shows why the window gives the
+all-pairs minimum bit for bit; `min_distance_to_fairway` is a batch of one.
 """
 from __future__ import annotations
 
@@ -25,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,25 +160,38 @@ Segment = tuple[tuple[float, float], tuple[float, float]]
 
 @dataclass
 class Layout:
-    """Decoded breakwater polylines, one per attachment, in cell coordinates."""
+    """Decoded breakwater polylines, one per attachment, in cell coordinates.
 
-    breakwaters: list[np.ndarray]  # each (k_i + 1, 2), first vertex = attachment
+    polylines holds each breakwater's vertices in order, the attachment
+    first: decode gives lists of plain-float (x, y) tuples, which a model run
+    reads as they are; a layout built by hand may give (n, 2) arrays.
+    """
+
+    polylines: list
     materials: list[Material]
+
+    @property
+    def breakwaters(self) -> list[np.ndarray]:
+        """Each polyline as a (k_i + 1, 2) float array."""
+        return [np.array(verts, dtype=float) for verts in self.polylines]
 
     def segments(self) -> list[Segment]:
         """Non-degenerate segments over all breakwaters, as plain floats."""
-        return polyline_segments(self.breakwaters)
+        return polyline_segments(self.polylines)
 
 
 def segment_groups(polylines) -> list[list[Segment]]:
     """Each polyline's non-degenerate ((x0, y0), (x1, y1)) plain-float segments, in order.
 
+    A list is taken as decode's plain-float (x, y) tuples; anything else
+    (an (n, 2) array) goes through np.asarray(..., dtype=float).tolist().
     Zero-length segments are dropped: they cross nothing and cover no cell.
     """
     out = []
     for verts in polylines:
-        points = [tuple(v) for v in np.asarray(verts, dtype=float).tolist()]
-        out.append([(p, q) for p, q in zip(points[:-1], points[1:]) if p != q])
+        if not isinstance(verts, list):
+            verts = [tuple(v) for v in np.asarray(verts, dtype=float).tolist()]
+        out.append([(p, q) for p, q in zip(verts[:-1], verts[1:]) if p != q])
     return out
 
 
@@ -198,14 +222,14 @@ def decode(genotype: Genotype, attachments: list[Attachment]) -> Layout:
         raise ValueError(
             f"genotype has {len(blocks)} blocks, attachments require {total_blocks(attachments)}"
         )
-    breakwaters: list[np.ndarray] = []
+    polylines: list[list[tuple[float, float]]] = []
     k = 0
     for att in attachments:
         own = blocks[k : k + att.n_segments]
         k += att.n_segments
-        x, y = att.point.x, att.point.y
+        x, y = float(att.point.x), float(att.point.y)
         if genotype.encoding is Encoding.CARTESIAN:
-            verts = [(x, y), *own]
+            verts = [(x, y), *map(tuple, own)]
         else:
             verts = [(x, y)]
             heading = att.point.base_angle
@@ -215,8 +239,8 @@ def decode(genotype: Genotype, attachments: list[Attachment]) -> Layout:
                 x += length * math.cos(angle)
                 y += length * math.sin(angle)
                 verts.append((x, y))
-        breakwaters.append(np.array(verts, dtype=float))
-    return Layout(breakwaters, [att.material for att in attachments])
+        polylines.append(verts)
+    return Layout(polylines, [att.material for att in attachments])
 
 
 def convert(genotype: Genotype, attachments: list[Attachment], target: Encoding) -> Genotype:
@@ -360,36 +384,166 @@ def sample_polyline(verts: np.ndarray, step: float) -> np.ndarray:
     return np.concatenate(parts)
 
 
+class _Fairway(NamedTuple):
+    """Read-only tables of a fairway's samples for the windowed clearance.
+
+    samples are sample_polyline's, as (xs, ys). Per non-degenerate segment s:
+    its start p (px, py), direction d = q - p (dx, dy), sample count n,
+    scale = n / |d|^2, and base, the index of the sample before its first,
+    so samples base + k, k = 0..n, are its previous sample and its own (a
+    fairway of one point has one such run, with n = 0). extent bounds the
+    magnitude of every fairway coordinate.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    n: np.ndarray
+    scale: np.ndarray
+    base: np.ndarray
+    extent: float
+
+
 @lru_cache(maxsize=32)
-def _fairway_samples(fairway_bytes: bytes, shape: tuple[int, ...], step: float) -> np.ndarray:
-    """Read-only sample_polyline of a fairway, keyed by value.
+def _fairway(fairway_bytes: bytes, shape: tuple[int, ...], step: float) -> _Fairway:
+    """The _Fairway tables of a fairway, keyed by value.
 
     Two fairways of one shape but different vertices never share an entry,
     and neither do two steps. Runs once per scenario and sampling step.
     """
-    samples = sample_polyline(np.frombuffer(fairway_bytes).reshape(shape), step)
-    samples.flags.writeable = False
-    return samples
+    verts = np.frombuffer(fairway_bytes).reshape(shape)
+    samples = sample_polyline(verts, step)
+    # a fairway of one point is one run with no samples after the first vertex
+    runs = sample_runs([], segment_groups([verts]), step) or [(*verts[0], 0.0, 0.0, 0)]
+    px, py, dx, dy, n = (np.array(column, dtype=float) for column in zip(*runs))
+    length2 = dx * dx + dy * dy
+    tables = _Fairway(
+        xs=samples[:, 0].copy(),
+        ys=samples[:, 1].copy(),
+        px=px,
+        py=py,
+        dx=dx,
+        dy=dy,
+        n=n,
+        scale=np.divide(n, length2, out=np.zeros_like(n), where=length2 > 0),
+        base=np.cumsum(n) - n,
+        extent=float(np.abs(np.concatenate((verts.ravel(), samples.ravel()))).max()),
+    )
+    for table in tables[:-1]:
+        table.flags.writeable = False
+    return tables
 
 
-def _sample_family(polylines: list[np.ndarray], step: float) -> np.ndarray:
-    return np.concatenate([sample_polyline(v, step) for v in polylines])
+def sample_runs(polylines, groups, step: float) -> list[tuple]:
+    """A layout's clearance samples as runs (px, py, dx, dy, n): the samples p + (k / n) * d, k = 1..n.
 
-
-def _min_sample_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest distance between two (n, 2) sample sets.
-
-    The squared distance of every sample pair is dx*dx + dy*dy, computed on
-    two (len(a), len(b)) planes in place; that is the same sum, in the same
-    order, as squaring the (len(a), len(b), 2) difference and summing over
-    its last axis, so the result is bit-identical to that form.
+    One run per polyline, whose one sample is its first vertex (d = 0,
+    n = 1), and one per segment of groups (segment_groups of
+    the polylines), with d = q - p and n = max(1, ceil(hypot(d) / step)):
+    the samples sample_polyline spaces along the polylines, as the same
+    doubles.
     """
-    d2 = np.subtract.outer(a[:, 0], b[:, 0])
-    dy = np.subtract.outer(a[:, 1], b[:, 1])
-    d2 *= d2
-    dy *= dy
-    d2 += dy
-    return float(math.sqrt(d2.min()))
+    runs = [(*verts[0], 0.0, 0.0, 1) for verts in polylines]
+    for group in groups:
+        for (px, py), (qx, qy) in group:
+            dx, dy = qx - px, qy - py
+            runs.append((px, py, dx, dy, max(1, math.ceil(math.hypot(dx, dy) / step))))
+    return runs
+
+
+# A window half-width w is exact while the coordinates' magnitude over the
+# sampling step stays below w * WINDOW_REACH (see fairway_clearances).
+WINDOW_REACH = 2.0**21
+
+
+def fairway_clearances(runs: list[tuple], sizes: list[int], fairway: np.ndarray, step: float) -> np.ndarray:
+    """Smallest distance, in cells, from each layout of a batch to the fairway's samples.
+
+    runs are the layouts' sample_runs, one after the other, and sizes the
+    number of runs of each layout (at least one each). The result equals
+    the minimum over every sample pair of dx*dx + dy*dy (square-rooted)
+    that an all-pairs comparison with sample_polyline's samples gives, bit
+    for bit, but each layout sample a meets only a window of samples per
+    fairway segment s.
+
+    Samples. Every sample of the batch is p + (k / n) * d, the elementwise
+    double operations of sample_polyline, so the samples are the same
+    doubles; their order does not matter to a minimum.
+
+    Window. With p, d, n of segment s, k0 = clip(rint(n (a - p).d / |d|^2),
+    0, n), and a meets the segment's samples k0 - w .. k0 + w, clipped to
+    [0, n]; sample 0 is the one before the segment's first (the previous
+    segment's last, or the fairway's first vertex). The minimum over the
+    windows of every segment is the minimum over every sample.
+
+    Why the window is exact. In exact arithmetic the segment's samples lie
+    at p + k (d / n), so a's squared distance to sample k is
+    h^2 + delta^2 (k - k*)^2 with delta = |d| / n and k* the unrounded
+    k0. If n >= 2, n = ceil(|d| / step) gives delta >= step / 2; if n = 1
+    the window (w >= 1) holds both samples. Let G bound the magnitude of
+    every coordinate (the layouts' samples and the fairway's) and
+    u = 2^-53. Then rounding moves a fairway sample by at most 7.1 u G,
+    each computed dx*dx + dy*dy is within 73 u G^2 of the exact squared
+    distance to the unrounded sample, and k0 is off by at most 1/2 + e,
+    e <= 20 u G / delta. A sample k outside the window therefore exceeds
+    sample k0 by at least delta^2 (w + 1)(w - 2 e) - 146 u G^2 in the
+    computed value, which is positive once w >= 2.6e-7 G / step. The
+    half-width is the smallest w >= 1 with w * WINDOW_REACH >= G / step
+    (WINDOW_REACH = 2^21, so 1 / WINDOW_REACH = 4.8e-7); G is taken from the
+    batch, so layouts that leave the grid are covered too. It is 1 unless a
+    coordinate is millions of steps from the origin, and it never needs to
+    exceed the longest segment's n, where the window holds every sample.
+    """
+    fw = _fairway(fairway.tobytes(), fairway.shape, step)
+    px, py, dx, dy, n = np.array(runs, dtype=float).T
+    counts = n.astype(np.intp)
+    first = np.cumsum(counts) - counts
+    k = np.arange(1.0, counts.sum() + 1.0)
+    k -= np.repeat(first, counts)
+    k /= np.repeat(n, counts)
+    xs = np.repeat(dx, counts)
+    xs *= k
+    xs += np.repeat(px, counts)
+    ys = np.repeat(dy, counts)
+    ys *= k
+    ys += np.repeat(py, counts)
+    del k
+    # a NaN sample makes its layout's minimum NaN whatever the window, as all pairs do
+    extent = max(fw.extent, float(np.abs(xs).max()), float(np.abs(ys).max()))
+    half = max(1, math.ceil(min(float(fw.n.max()), extent / step / WINDOW_REACH)))
+    # (segment, sample) planes: each row's ufunc loop runs over the samples
+    along = np.subtract(xs, fw.px[:, None])
+    along *= fw.dx[:, None]
+    k0 = np.subtract(ys, fw.py[:, None])
+    k0 *= fw.dy[:, None]
+    k0 += along
+    k0 *= fw.scale[:, None]
+    np.rint(k0, out=k0)
+    np.fmax(k0, 0.0, out=k0)  # fmax and fmin, unlike clip, send a NaN to a valid index
+    np.fmin(k0, fw.n[:, None], out=k0)
+    k0 += fw.base[:, None]
+    window = k0.astype(np.intp)
+    del along, k0
+    low, high = fw.base.astype(np.intp)[:, None], (fw.base + fw.n).astype(np.intp)[:, None]
+    index = np.empty_like(window)
+    best, d2, dy2 = np.full(window.shape, np.inf), np.empty(window.shape), np.empty(window.shape)
+    for offset in range(-half, half + 1):
+        np.add(window, offset, out=index)
+        np.clip(index, low, high, out=index)
+        # fairway minus layout sample: the negated difference, so the same square
+        fw.xs.take(index, out=d2, mode="clip")  # every index is in range
+        d2 -= xs
+        d2 *= d2
+        fw.ys.take(index, out=dy2, mode="clip")
+        dy2 -= ys
+        dy2 *= dy2
+        d2 += dy2
+        np.minimum(best, d2, out=best)
+    starts = first[np.cumsum(sizes) - sizes]
+    return np.sqrt(np.minimum.reduceat(best.min(axis=0), starts))
 
 
 def min_distance_to_fairway(
@@ -400,14 +554,13 @@ def min_distance_to_fairway(
 ) -> float:
     """Navigational clearance in meters between new structures and the fairway.
 
-    The fairway's samples come from a cache, so a scenario samples its fixed
-    fairway once, not once per model run. A fully degenerate layout still
+    A batch of one for fairway_clearances. A fully degenerate layout still
     has its attachment vertices, so the distance falls back to the
     attachment points.
     """
+    runs = sample_runs(layout.polylines, segment_groups(layout.polylines), sampling_step)
     fairway = np.asarray(fairway, dtype=float)
-    samples = _fairway_samples(fairway.tobytes(), fairway.shape, sampling_step)
-    return _min_sample_distance(_sample_family(layout.breakwaters, sampling_step), samples) * cell_size
+    return float(fairway_clearances(runs, [len(runs)], fairway, sampling_step)[0]) * cell_size
 
 
 def point_segment_distance(p, a, b) -> float:

@@ -53,14 +53,6 @@ def dominance(points: np.ndarray) -> np.ndarray:
     return at_most & ~at_most.T
 
 
-def nondominated(points: np.ndarray) -> np.ndarray:
-    """Indices of points not dominated by any other (minimization).
-
-    Exact duplicates do not dominate each other, so all copies survive.
-    """
-    return np.flatnonzero(~dominance(points).any(axis=0))
-
-
 def _reduce(pts: list[Point]) -> list[Point]:
     """Deduplicate and keep the nondominated subset, sorted by last objective.
 

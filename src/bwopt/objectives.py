@@ -8,7 +8,16 @@ the existing configuration, in percent, by relativize, which returns them
 as the one minimization vector laid out as
 [cost, -clearance, height_1, ..., height_m]; the scalar convolution reads
 the same vector. The baseline's heights come from wave_heights with no new
-cells, the path every candidate takes.
+cells: the wave model's heights call that a batch makes, with one grid.
+
+evaluate is the one evaluation, and it takes a batch (a generation, or a
+single candidate as a batch of one). Per candidate, in Python: decode, the
+segment groups, rasterization, the three constraint counts, the cost and
+the clearance sample runs, and, for a feasible candidate, its coefficient
+grid written into the batch's stack. Per batch, in NumPy: every
+candidate's clearance (geometry.fairway_clearances) and the heights of the
+feasible ones (one wave-model call over the stack). A model without a
+heights method simulates each feasible candidate's full field instead.
 """
 from __future__ import annotations
 
@@ -23,8 +32,10 @@ from .geometry import (
     Layout,
     count_crossings,
     decode,
-    min_distance_to_fairway,
+    fairway_clearances,
+    min_distance_to_fairway,  # noqa: F401 - the clearance of one layout, traced by perfbench
     rasterize,
+    sample_runs,
     segment_groups,
     total_length,
 )
@@ -41,6 +52,14 @@ WAVE_START_INDEX = 2
 
 class EvaluationWarning(UserWarning):
     pass
+
+
+class CandidateError(Exception):
+    """Evaluating candidate index of a batch failed; the failure is the cause."""
+
+    def __init__(self, index: int):
+        super().__init__(f"candidate {index} of the batch failed")
+        self.index = index
 
 
 @dataclass
@@ -107,11 +126,13 @@ def _layout_constraints(segments, cells, scenario) -> tuple[int, int, int]:
 
 
 def _layout_geometry(genotype: Genotype, scenario) -> tuple[Layout, list, list]:
-    """(Layout, its segments, its rasterized cells): each breakwater's segments are built once."""
+    """(Layout, its segment groups, its rasterized cells): each breakwater's segments are built once.
+
+    The groups come straight from decode's plain-float vertex lists.
+    """
     layout = decode(genotype, scenario.attachments)
-    groups = segment_groups(layout.breakwaters)
-    cells = rasterize(groups, layout.materials, scenario.grid, scenario.transmission)
-    return layout, [s for group in groups for s in group], cells
+    groups = segment_groups(layout.polylines)
+    return layout, groups, rasterize(groups, layout.materials, scenario.grid, scenario.transmission)
 
 
 def constraint_counts(genotype: Genotype, scenario) -> tuple[int, int, int]:
@@ -120,37 +141,68 @@ def constraint_counts(genotype: Genotype, scenario) -> tuple[int, int, int]:
     Returns (self intersections, fairway intersections, land cells covered);
     all zero means the candidate is feasible.
     """
-    _, segments, cells = _layout_geometry(genotype, scenario)
-    return _layout_constraints(segments, cells, scenario)
+    _, groups, cells = _layout_geometry(genotype, scenario)
+    return _layout_constraints([s for group in groups for s in group], cells, scenario)
 
 
-def evaluate(genotype: Genotype, scenario) -> ObjectiveVector:
-    """Evaluate one candidate against a scenario.
+def evaluate(genotypes: list[Genotype], scenario) -> list[ObjectiveVector]:
+    """Evaluate a batch of candidates against a scenario, in order.
 
-    The layout's segments are built once, for the crossing counts, the cost
-    and the rasterization; the cells give the land-coverage count and, for a
-    feasible candidate, the obstacles of the wave model. Constraint-violating
-    candidates skip the wave model and inherit the baseline wave heights;
-    cost and clearance are still their own, so the violation shows up as
-    cost without protection benefit.
+    Each layout's segments are built once, for the crossing counts, the
+    cost, the clearance samples and the rasterization; the cells give the
+    land-coverage count and, for a feasible candidate, the obstacles of the
+    wave model. Constraint-violating candidates skip the wave model and
+    inherit the baseline wave heights; cost and clearance are still their
+    own, so the violation shows up as cost without protection benefit.
+
+    A feasible candidate's coefficient grid is written into the batch's
+    stack as soon as it is made, so no candidate's cells outlive its turn.
+    A failure in a candidate's own work raises CandidateError naming its
+    index, with the failure as the cause.
     """
-    layout, segments, cells = _layout_geometry(genotype, scenario)
-    self_x, fairway_x, land = _layout_constraints(segments, cells, scenario)
-    nav = min_distance_to_fairway(
-        layout, scenario.fairway, scenario.grid.cell_size, scenario.nav_sampling_step
-    )
-    if self_x + fairway_x + land == 0:
-        heights = wave_heights(cells, scenario)
-    else:
-        heights = scenario.baseline.wave_heights.copy()
-    return ObjectiveVector(
-        cost=cost(segments, scenario.grid.cell_size),
-        nav_distance=nav,
-        wave_heights=heights,
-        self_intersections=self_x,
-        fairway_intersections=fairway_x,
-        land_coverage=land,
-    )
+    if not genotypes:
+        return []
+    grid, model = scenario.grid, scenario.wave_model
+    stacked = hasattr(model, "heights")
+    if stacked:
+        reads = model.cells_read(grid, scenario.boundary, scenario.control_points)
+        stack = np.empty((len(reads), len(genotypes)))
+    feasible = 0
+    parts, runs, sizes = [], [], []
+    for i, genotype in enumerate(genotypes):
+        try:
+            layout, groups, cells = _layout_geometry(genotype, scenario)
+            segments = [s for group in groups for s in group]
+            counts = _layout_constraints(segments, cells, scenario)
+            own = sample_runs(layout.polylines, groups, scenario.nav_sampling_step)
+            if sum(counts):
+                heights = scenario.baseline.wave_heights.copy()
+            elif stacked:  # the batch's heights call fills it in
+                stack[:, feasible] = with_obstacles(scenario.coefficients, cells, grid.n_cols)[reads]
+                feasible += 1
+                heights = None
+            else:
+                heights = wave_heights(cells, scenario)
+        except Exception as exc:
+            raise CandidateError(i) from exc
+        parts.append((cost(segments, grid.cell_size), counts, heights))
+        runs += own
+        sizes.append(len(own))
+    if feasible:
+        computed = iter(model.heights(grid, stack[:, :feasible], scenario.boundary, scenario.control_points))
+    stack = None  # freed before the clearance planes are built
+    clearances = fairway_clearances(runs, sizes, scenario.fairway, scenario.nav_sampling_step)
+    out = []
+    for (length_cost, counts, heights), clearance in zip(parts, clearances.tolist()):
+        out.append(ObjectiveVector(
+            cost=length_cost,
+            nav_distance=clearance * grid.cell_size,
+            wave_heights=next(computed).copy() if heights is None else heights,
+            self_intersections=counts[0],
+            fairway_intersections=counts[1],
+            land_coverage=counts[2],
+        ))
+    return out
 
 
 def relativize(raw: ObjectiveVector, baseline: Baseline) -> np.ndarray:

@@ -138,10 +138,10 @@ class Scenario:
         if self.wave_model is None:
             derive("wave_model", ShadowDiffusionModel(self.diffusion_passes))
         existing_layout = Layout(
-            breakwaters=[verts for verts, _ in self.existing_structures],
+            polylines=[verts for verts, _ in self.existing_structures],
             materials=[mat for _, mat in self.existing_structures],
         )
-        groups = segment_groups(existing_layout.breakwaters)
+        groups = segment_groups(existing_layout.polylines)
         derive("existing_segments", [s for group in groups for s in group])
         derive("fairway_segments", polyline_segments([self.fairway]))
         derive("existing_cells", rasterize(groups, existing_layout.materials, self.grid, self.transmission))
@@ -259,7 +259,12 @@ class Scenario:
     # ----- evaluation façade used by the optimizer -----
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
-        return evaluate(genotype, self)
+        """objectives.evaluate of a batch of one."""
+        return evaluate([genotype], self)[0]
+
+    def evaluate_many(self, genotypes: list[Genotype]) -> list[ObjectiveVector]:
+        """objectives.evaluate of the batch; a failing candidate raises objectives.CandidateError."""
+        return evaluate(genotypes, self)
 
     def min_point(self, objectives: ObjectiveVector) -> np.ndarray:
         """Relative objectives in minimization form, the optimizer's space."""

@@ -15,6 +15,12 @@ one 1.0 sentinel for rays that have left the grid. It runs in two stages:
 One kernel runs both stages over a box of cells: `simulate` over the whole
 grid, ShadowDiffusionModel.heights over only the cells that sampling a few
 points reads, grown by one cell per diffusion pass, with the same bits.
+The kernel takes one coefficient grid or a stack of them, one per column
+(a generation's feasible layouts), read only at the cells the box's rays
+reach (cells_read). It folds gathered blocks of rows, each product down a
+ray and each neighbor sum in its own order, so a stack costs about as many
+NumPy calls as one grid and its temporaries stay near GATHER_VALUES values.
+Bilinear sampling runs vectorized over the points and the stack.
 
 A real solver can be plugged in through FileExchangeWaveModel, which talks
 plain-text files in a work directory and exchanges a full field per run.
@@ -38,6 +44,7 @@ DEFAULT_DIFFUSION_PASSES = 3
 
 STDERR_TAIL_CHARS = 2000  # how much of a failing solver's stderr an error quotes
 BAND_CELLS = 2048  # cells per box of full-grid simulate, which bounds its gather table
+GATHER_VALUES = 8192  # values per gathered block of the kernel, which bounds its temporaries
 
 _NEIGHBOR_SHIFTS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
 
@@ -113,7 +120,10 @@ class _Box(NamedTuple):
     """Read-only tables of the kernel over a box of shape cells at origin (row, col).
 
     Box cells are numbered row-major, n of them.
-      rays       (offsets, n) flat grid index of the cell each box cell's
+      reads      flat grid indices of the cells the rays reach, ascending;
+                 the sentinel, last, if a ray leaves the grid. The kernel
+                 reads a coefficient grid at these cells only;
+      rays       (offsets, n) position in reads of the cell each box cell's
                  upwave ray reaches at each offset, in path order, row 0 the
                  cell itself; the sentinel once the ray is off the grid.
                  Offsets at which every ray is off the grid are left out;
@@ -126,6 +136,7 @@ class _Box(NamedTuple):
 
     origin: tuple[int, int]
     shape: tuple[int, int]
+    reads: np.ndarray
     rays: np.ndarray
     neighbors: np.ndarray
     masks: np.ndarray
@@ -152,6 +163,10 @@ def _box(wave_direction: float, land: np.ndarray, rows: range, cols: range) -> _
     col_terms = np.where(col_in, ray_cols, n_cells)[reaches]
     rays = row_terms[:, :, None] + col_terms[:, None, :]
     np.minimum(rays, n_cells, out=rays)
+    read = np.zeros(n_cells + 1, dtype=bool)
+    read[rays] = True
+    reads = np.flatnonzero(read)
+    rays = (np.cumsum(read) - 1)[rays]
 
     # flat indices into the grid padded by one cell, whose border is neither
     # water nor in the box
@@ -167,23 +182,55 @@ def _box(wave_direction: float, land: np.ndarray, rows: range, cols: range) -> _
     box = _Box(
         origin=(rows.start, cols.start),
         shape=(len(rows), len(cols)),
-        rays=rays.reshape(len(rays), -1),
+        reads=reads,
+        rays=rays.reshape(-1, len(rows) * len(cols)),
         neighbors=index[around],
         masks=masks,
         count=1.0 + masks.sum(axis=0),
         land=np.flatnonzero(land[rows.start : rows.stop, cols.start : cols.stop]),
     )
-    for table in (box.rays, box.neighbors, box.masks, box.count, box.land):
+    for table in (box.reads, box.rays, box.neighbors, box.masks, box.count, box.land):
         table.flags.writeable = False
     return box
 
 
-def _shadow_diffuse(coefficients: np.ndarray, box: _Box, incident_height: float, passes: int) -> np.ndarray:
-    """Heights over the box's cells, shaped box.shape: the one shadow-and-diffuse kernel.
+def _fold(ufunc, source: np.ndarray, index: np.ndarray, out: np.ndarray, less=None, times=None) -> None:
+    """out = ufunc folded, in row order, over the rows of source[index]: source[index[0]] first.
 
-    Shadowing multiplies the coefficients gathered through box.rays down the
-    rows, so each cell multiplies in its ray's coefficients in path order.
-    Every factor off the obstacles is exactly 1.0 and leaves the product
+    source is (m,) + tail, index (k, n) and out (n,) + tail, for any tail
+    (a batch axis, or none). With less and times, each gathered row i
+    becomes (row - less) * times[i] before it is folded in; times is
+    (k, n) + (1,) * len(tail). The rows are gathered into one buffer of
+    about GATHER_VALUES values, a block at a time; each block after the
+    first goes in behind out, so ufunc.reduce over the buffer continues the
+    fold where the last block stopped and every result keeps its order of
+    operations.
+    """
+    rows = max(1, GATHER_VALUES // out.size)
+    buffer = np.empty((min(rows, len(index)) + 1,) + out.shape)
+    for start in range(0, len(index), rows):
+        block = index[start : start + rows]
+        part = buffer[: len(block) + 1]
+        source.take(block, axis=0, out=part[1:], mode="clip")  # every index is in range
+        if less is not None:
+            part[1:] -= less
+            part[1:] *= times[start : start + rows]
+        if start:
+            part[0] = out
+        else:
+            part = part[1:]
+        ufunc.reduce(part, axis=0, out=out)
+
+
+def _shadow_diffuse(coefficients: np.ndarray, box: _Box, incident_height: float, passes: int) -> np.ndarray:
+    """Heights over the box's cells, shaped (n, B): the one shadow-and-diffuse kernel.
+
+    coefficients is one coefficient grid at the box's reads, or a
+    (len(box.reads), B) stack with one grid per column, and each grid gets
+    its own heights: (n,) or (n, B), box cells in row-major order.
+    Shadowing multiplies the coefficients gathered through box.rays, so
+    each cell multiplies in its ray's coefficients in path order. Every
+    factor off the obstacles is exactly 1.0 and leaves the product
     unchanged, and a ray that crosses land multiplies in 0.0.
 
     Each diffusion pass adds the mean neighbor difference (update form, so a
@@ -196,21 +243,27 @@ def _shadow_diffuse(coefficients: np.ndarray, box: _Box, incident_height: float,
     Neighbors outside the box read 0.0. The wrong values this leaves on the
     box's edge move inward one cell per pass, so a box grown by one cell
     per pass around the cells that matter keeps those exact.
+
+    Both stages fold over gathered rows (_fold), so B grids take about as
+    many NumPy calls as one, each over B contiguous values per cell, and
+    the temporaries stay near GATHER_VALUES values whatever B and the ray
+    length.
     """
-    field = np.empty(box.rays.shape[1] + 1)
+    n, tail = box.rays.shape[1], coefficients.shape[1:]
+    field = np.empty((n + 1,) + tail)
     field[-1] = 0.0
     heights = field[:-1]
-    np.multiply.reduce(coefficients[box.rays], axis=0, out=heights)
+    _fold(np.multiply, coefficients, box.rays, heights)
     heights *= incident_height
+    delta = np.empty((n,) + tail)
+    masks = box.masks.reshape(box.masks.shape + (1,) * len(tail))
+    count = box.count.reshape((n,) + (1,) * len(tail))
     for _ in range(passes):
-        terms = field[box.neighbors]
-        terms -= heights
-        terms *= box.masks
-        delta = np.add.reduce(terms, axis=0)
-        delta /= box.count
+        _fold(np.add, field, box.neighbors, delta, less=heights, times=masks)
+        delta /= count
         heights += delta
         heights[box.land] = 0.0
-    return heights.reshape(box.shape)
+    return heights
 
 
 def simulate(
@@ -242,24 +295,24 @@ def simulate(
     for top in range(0, rows, band):
         box_rows = range(max(0, top - diffusion_passes), min(rows, top + band + diffusion_passes))
         box = _box(boundary.wave_direction, grid.land_mask, box_rows, range(cols))
-        part = _shadow_diffuse(coefficients, box, boundary.incident_height, diffusion_passes)
-        field[top : top + band] = part[top - box_rows.start :][:band]
+        part = _shadow_diffuse(coefficients[box.reads], box, boundary.incident_height, diffusion_passes)
+        field[top : top + band] = part.reshape(box.shape)[top - box_rows.start :][:band]
     return field
 
 
 @lru_cache(maxsize=32)
 def _point_box(
     wave_direction: float, land_bytes: bytes, shape: tuple[int, int], passes: int, points_bytes: bytes
-) -> tuple[_Box, list[tuple[float, float]]]:
-    """The box that heights at these points need, and the points in box coordinates.
+) -> tuple[_Box, _Bilinear]:
+    """The box that heights at these points need, and the bilinear tables of the points in it.
 
     Cached by value, so two grids of one shape but different land never
-    share an entry. The box holds the 2x2 cells
-    that sample reads around each point, grown by one cell per diffusion
-    pass and clipped to the grid. The points are clamped as sample clamps
-    them, then shifted by the box's origin; the shifts are whole numbers no
-    larger than the clamped coordinates, so they are exact, and sample reads
-    the same cells with the same weights in the box.
+    share an entry. The box holds the 2x2 cells that sample reads around
+    each point, grown by one cell per diffusion pass and clipped to the
+    grid. The points are clamped as sample clamps them, then shifted by the
+    box's origin; the shifts are whole numbers no larger than the clamped
+    coordinates, so they are exact, and the tables read the same cells with
+    the same weights in the box that sample reads in the grid.
     """
     n_rows, n_cols = shape
     land = np.frombuffer(land_bytes, dtype=bool).reshape(shape)
@@ -272,27 +325,61 @@ def _point_box(
     rows = range(max(0, min(gy) - passes), min(n_rows, max(gy) + 2 + passes))
     cols = range(max(0, min(gx) - passes), min(n_cols, max(gx) + 2 + passes))
     box = _box(wave_direction, land, rows, cols)
-    return box, [(x - cols.start, y - rows.start) for x, y in clamped]
+    return box, _bilinear_table([(x - cols.start, y - rows.start) for x, y in clamped], *box.shape)
 
 
-def sample(field: np.ndarray, points) -> np.ndarray:
-    """Bilinear interpolation of the field at continuous (x, y) points.
+class _Bilinear(NamedTuple):
+    """Read-only tables of bilinear sampling at p points of a (rows, cols) field.
 
-    Coordinates are clamped to the span of cell centers, so querying exactly
-    at a center returns that cell's stored value.
+    corners is (4, p): the flat index of each point's cells (row, col),
+    (row, col + 1), (row + 1, col) and (row + 1, col + 1); tx and ty are
+    its offsets from the first. Points are clamped to the span of cell
+    centers first.
     """
-    rows, cols = field.shape
-    out = np.empty(len(points))
-    for i, (x, y) in enumerate(points):
+
+    corners: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+
+
+def _bilinear_table(points, rows: int, cols: int) -> _Bilinear:
+    corners, tx, ty = [], [], []
+    for x, y in points:
         x = min(max(float(x), 0.0), cols - 1.0)
         y = min(max(float(y), 0.0), rows - 1.0)
         gx = min(int(math.floor(x)), cols - 2)
         gy = min(int(math.floor(y)), rows - 2)
-        tx, ty = x - gx, y - gy
-        top = (1.0 - tx) * field[gy, gx] + tx * field[gy, gx + 1]
-        bottom = (1.0 - tx) * field[gy + 1, gx] + tx * field[gy + 1, gx + 1]
-        out[i] = (1.0 - ty) * top + ty * bottom
-    return out
+        first = gy * cols + gx
+        corners.append((first, first + 1, first + cols, first + cols + 1))
+        tx.append(x - gx)
+        ty.append(y - gy)
+    table = _Bilinear(np.array(corners, dtype=np.intp).reshape(-1, 4).T, np.array(tx), np.array(ty))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _bilinear(values: np.ndarray, table: _Bilinear) -> np.ndarray:
+    """Bilinear samples, shaped (p,) + values.shape[1:], of the flat row-major cells along values' first axis.
+
+    Each is (1 - ty) * top + ty * bottom with top and bottom the
+    x-interpolations (1 - tx) * f0 + tx * f1 of the two rows, elementwise
+    over the points and any further axes of values.
+    """
+    f = np.take(values, table.corners, axis=0)
+    tx, ty = (t.reshape(t.shape + (1,) * (values.ndim - 1)) for t in table[1:])
+    top = (1.0 - tx) * f[0] + tx * f[1]
+    bottom = (1.0 - tx) * f[2] + tx * f[3]
+    return (1.0 - ty) * top + ty * bottom
+
+
+def sample(field: np.ndarray, points) -> np.ndarray:
+    """Bilinear interpolation of the (rows, cols) field at continuous (x, y) points.
+
+    Coordinates are clamped to the span of cell centers, so querying exactly
+    at a center returns that cell's stored value.
+    """
+    return _bilinear(field.reshape(-1), _bilinear_table(points, *field.shape))
 
 
 class ShadowDiffusionModel:
@@ -304,19 +391,33 @@ class ShadowDiffusionModel:
     def simulate(self, grid, obstacles, boundary) -> np.ndarray:
         return simulate(grid, obstacles, boundary, self.diffusion_passes)
 
+    def _point_box(self, grid, boundary, points) -> tuple[_Box, _Bilinear]:
+        land = grid.land_mask
+        points = np.asarray(points, dtype=float)
+        return _point_box(
+            boundary.wave_direction, land.tobytes(), land.shape, self.diffusion_passes, points.tobytes()
+        )
+
+    def cells_read(self, grid, boundary, points) -> np.ndarray:
+        """Flat indices, ascending, of the coefficient-grid cells that heights at these points read."""
+        return self._point_box(grid, boundary, points)[0].reads
+
     def heights(self, grid, coefficients, boundary, points) -> np.ndarray:
         """Heights at the points, the same bits as sample(self.simulate(...), points).
 
         coefficients is the coefficient grid of every obstacle (see
-        coefficient_grid). Only the box the points need is computed.
+        coefficient_grid), or a (cells + 1, B) stack of B such grids, one
+        per column, which gives a (B, len(points)) array of heights. A grid
+        may also hold only the cells of cells_read(grid, boundary, points),
+        in that order: the only cells heights reads (when they are every
+        cell, both forms are the same). Only the box the points need is
+        computed.
         """
-        land = grid.land_mask
-        points = np.asarray(points, dtype=float)
-        box, shifted = _point_box(
-            boundary.wave_direction, land.tobytes(), land.shape, self.diffusion_passes, points.tobytes()
-        )
+        box, table = self._point_box(grid, boundary, points)
+        if len(coefficients) != len(box.reads):
+            coefficients = np.take(coefficients, box.reads, axis=0)
         field = _shadow_diffuse(coefficients, box, boundary.incident_height, self.diffusion_passes)
-        return sample(field, shifted)
+        return _bilinear(field, table).T
 
 
 class FileExchangeWaveModel:

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from bwopt.experiment import resolve_scenario
+from bwopt.geometry import sample_polyline
+from bwopt.metrics import dominance
+from bwopt.objectives import CandidateError
 from bwopt.scenario import build_scenario
 
 # filled by test_acceptance.py, echoed after the test summary
@@ -103,3 +106,51 @@ def mc_hypervolume(points, reference, n_samples=1_000_000, seed=0):
         hit |= inside
     rate = hit.mean()
     return rate * box, np.sqrt(rate * (1.0 - rate) / n_samples) * box
+
+
+def nondominated(points: np.ndarray) -> np.ndarray:
+    """Indices of points not dominated by any other (minimization).
+
+    Exact duplicates do not dominate each other, so all copies survive.
+    """
+    return np.flatnonzero(~dominance(points).any(axis=0))
+
+
+def sample_family(polylines, step: float) -> np.ndarray:
+    """Every polyline's sample_polyline samples, concatenated."""
+    return np.concatenate([sample_polyline(v, step) for v in polylines])
+
+
+def min_sample_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest distance between two (n, 2) sample sets: the all-pairs clearance oracle.
+
+    The kernel geometry.fairway_clearances replaced. The squared distance of
+    every sample pair is dx*dx + dy*dy, computed on two (len(a), len(b))
+    planes in place; that is the same sum, in the same order, as squaring
+    the (len(a), len(b), 2) difference and summing over its last axis.
+    """
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return float(np.sqrt(d2.min()))
+
+
+def all_pairs_clearance(polylines, fairway, step: float) -> float:
+    """Clearance in cells between polylines and a fairway by comparing every sample pair."""
+    return min_sample_distance(sample_family(polylines, step), sample_polyline(fairway, step))
+
+
+def evaluate_each(evaluate, genotypes) -> list:
+    """[evaluate(g) for g in genotypes] as a batch: a failure raises CandidateError naming its index.
+
+    The evaluate_many of test surrogates that evaluate one genotype at a time.
+    """
+    out = []
+    for i, genotype in enumerate(genotypes):
+        try:
+            out.append(evaluate(genotype))
+        except Exception as exc:
+            raise CandidateError(i) from exc
+    return out

@@ -117,7 +117,7 @@ def test_criterion_01_encoding_round_trip(harbor):
 
 
 def test_criterion_02_objective_formulas(harbor):
-    triangle = Layout(breakwaters=[np.array([[0.0, 0.0], [3.0, 4.0]])],
+    triangle = Layout(polylines=[np.array([[0.0, 0.0], [3.0, 4.0]])],
                       materials=[Material.SOLID_WALL])
     cost_ok = cost(triangle.segments(), 25.0) == 125.0
 

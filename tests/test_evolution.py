@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate_each, nondominated
+
 from bwopt import evolution
 from bwopt.evolution import (
     EAConfig,
@@ -26,9 +28,8 @@ from bwopt.evolution import (
     _update_front,
 )
 from bwopt.geometry import Encoding, Genotype, decode
-from bwopt.metrics import nondominated
 from bwopt.objectives import ObjectiveVector, cost
-from bwopt.scenario import Scenario
+import bwopt.scenario as scenario_module
 
 
 class FixedInts:
@@ -531,9 +532,9 @@ def test_de_greedy_mask_checked(unit_scenario):
 
 
 def test_de_rejects_a_population_too_small_for_rand_1_before_evaluating(unit_scenario, monkeypatch):
-    # a Scenario is frozen, so the method is patched on its class
+    # Scenario.evaluate and Scenario.evaluate_many both call the scenario module's evaluate
     evaluated = []
-    monkeypatch.setattr(Scenario, "evaluate", lambda self, genotype: evaluated.append(genotype))
+    monkeypatch.setattr(scenario_module, "evaluate", lambda genotypes, scenario: evaluated.extend(genotypes))
     with pytest.raises(ValueError, match="rand/1 needs 3 distinct partners"):
         run_de(small_config(population_size=3), unit_scenario)
     assert evaluated == []
@@ -614,6 +615,9 @@ class CostOnlyScenario:
             land_coverage=0,
         )
 
+    def evaluate_many(self, genotypes):
+        return evaluate_each(self.evaluate, genotypes)
+
     def min_point(self, objectives):
         return np.array([objectives.cost])
 
@@ -650,6 +654,26 @@ def test_evaluation_failure_reports_generation_and_index(unit_scenario):
     poisoned = PoisonedScenario(unit_scenario, fail_at=3)
     with pytest.raises(RuntimeError, match="generation 0, individual 2"):
         run_spea2(EAConfig(population_size=8, generations=2, seed=0), poisoned)
+
+
+def test_batch_failure_names_the_generation_and_the_failing_individual(unit_scenario, monkeypatch):
+    rng = np.random.default_rng(73)
+    good = [sample_genotype(small_config(), unit_scenario, rng) for _ in range(3)]
+    bad = good[0].copy()
+    bad.genes[0] = np.nan  # a NaN vertex cannot be rasterized
+    with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 4, individual 2$"):
+        evolution._evaluate([good[0], good[1], bad, good[2]], unit_scenario, 4)
+    # a DE trial is a batch of one that names its own index
+    with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 5, individual 7$"):
+        evolution._evaluate([bad], unit_scenario, 5, 7)
+    # a failure in a stage the whole batch shares names the whole batch
+
+    def failing_heights(*args):
+        raise FloatingPointError("shared stage")
+
+    monkeypatch.setattr(type(unit_scenario.wave_model), "heights", failing_heights)
+    with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 6, individuals 0 to 2$"):
+        evolution._evaluate(good, unit_scenario, 6)
 
 
 # ----- cumulative front -----

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import scenario_dict
+from conftest import evaluate_each, scenario_dict
 from bwopt import parallel
 from bwopt.cli import main
 from bwopt.evolution import EAConfig
@@ -293,6 +293,9 @@ class FailingEncodingScenario:
         if genotype.encoding is Encoding.CARTESIAN:
             raise ValueError("cartesian rejected for the test")
         return self._inner.evaluate(genotype)
+
+    def evaluate_many(self, genotypes):
+        return evaluate_each(self.evaluate, genotypes)
 
 
 def test_experiment_records_partial_failures(tmp_path, unit_scenario_module):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import segments_cross
+from conftest import all_pairs_clearance, min_sample_distance, sample_family, segments_cross
 
 from bwopt.geometry import (
     Attachment,
@@ -20,17 +20,17 @@ from bwopt.geometry import (
     convert,
     count_crossings,
     decode,
+    fairway_clearances,
     min_distance_to_fairway,
     normalize_angle,
     polyline_segments,
     rasterize,
     sample_polyline,
+    sample_runs,
     segment_groups,
     supercover_line,
     total_length,
-    _fairway_samples,
-    _min_sample_distance,
-    _sample_family,
+    _fairway,
 )
 
 TWO_SEGMENTS = [Attachment(AttachmentPoint(5.0, 5.0, 30.0), n_segments=2)]
@@ -328,9 +328,9 @@ def test_min_distance_skew_matches_dense_oracle():
 def min_polyline_distance(polylines_a, polylines_b, step):
     """Smallest distance between two polyline families, by dense sampling.
 
-    Built from the kernel min_distance_to_fairway uses, for families of any size.
+    Built from the all-pairs clearance oracle, for families of any size.
     """
-    return _min_sample_distance(_sample_family(polylines_a, step), _sample_family(polylines_b, step))
+    return min_sample_distance(sample_family(polylines_a, step), sample_family(polylines_b, step))
 
 
 def test_min_distance_symmetric_in_point_sets():
@@ -416,16 +416,20 @@ def test_sample_polyline_is_bit_identical_to_row_appending_sampler():
 def test_fairway_samples_are_cached_by_value_read_only():
     f1 = np.array([[0.0, 0.0], [0.0, 4.0]])
     f2 = np.array([[1.0, 0.0], [1.0, 4.0]])  # same shape, other values
-    s1 = _fairway_samples(f1.tobytes(), f1.shape, 0.5)
-    assert _fairway_samples(f1.copy().tobytes(), f1.shape, 0.5) is s1
-    s2 = _fairway_samples(f2.tobytes(), f2.shape, 0.5)
+    def samples(tables):
+        return np.column_stack((tables.xs, tables.ys))
+
+    t1 = _fairway(f1.tobytes(), f1.shape, 0.5)
+    assert _fairway(f1.copy().tobytes(), f1.shape, 0.5) is t1
+    s1 = samples(t1)
+    s2 = samples(_fairway(f2.tobytes(), f2.shape, 0.5))
     assert s2.tobytes() == reference_sample_polyline(f2, 0.5).tobytes() != s1.tobytes()
-    s3 = _fairway_samples(f1.tobytes(), f1.shape, 0.25)
+    s3 = samples(_fairway(f1.tobytes(), f1.shape, 0.25))
     assert s3.tobytes() == reference_sample_polyline(f1, 0.25).tobytes()
     assert len(s3) == 17 and len(s1) == 9
-    assert not s1.flags.writeable
+    assert not any(table.flags.writeable for table in t1[:-1])
     with pytest.raises(ValueError):
-        s1[0, 0] = 1.0
+        t1.xs[0] = 1.0
     layout = mk_layout([[3.0, 0.0], [3.0, 4.0]])
     assert min_distance_to_fairway(layout, f1, 1.0) == 3.0
     assert min_distance_to_fairway(layout, f2, 1.0) == 2.0
@@ -441,6 +445,111 @@ def test_sample_polyline_spacing_and_endpoints():
     assert pts[-1] == pytest.approx([3.0, 4.0])
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert np.all(gaps <= 0.5 + 1e-12)
+
+
+# ----- windowed clearance against all pairs -----
+
+def batch_clearances(layouts, fairway, step):
+    """fairway_clearances of the layouts' polylines as one batch, in cells."""
+    runs, sizes = [], []
+    for polylines in layouts:
+        own = sample_runs(polylines, segment_groups(polylines), step)
+        runs += own
+        sizes.append(len(own))
+    return fairway_clearances(runs, sizes, np.asarray(fairway, dtype=float), step).tolist()
+
+
+def assert_matches_all_pairs(layouts, fairway, step):
+    """The batch's clearances equal the all-pairs oracle's bit for bit; returns how many are 0."""
+    got = batch_clearances(layouts, fairway, step)
+    want = [all_pairs_clearance(polylines, np.asarray(fairway, dtype=float), step) for polylines in layouts]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    return sum(w == 0.0 for w in want)
+
+
+def random_layouts(rng, scenario, count):
+    """Decoded layouts of uniform cartesian (partly off the grid), half-integer cartesian and angular genes."""
+    n, cols, rows = scenario.n_blocks, scenario.grid.n_cols, scenario.grid.n_rows
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            genes = rng.uniform(-5.0, [cols + 5.0, rows + 5.0] * n)
+            encoding = Encoding.CARTESIAN
+        elif i % 3 == 1:
+            genes = rng.integers(0, 2 * max(cols, rows), size=2 * n) / 2.0
+            encoding = Encoding.CARTESIAN
+        else:
+            genes = np.column_stack((rng.uniform(0.0, 40.0, n), rng.uniform(-180.0, 180.0, n))).ravel()
+            encoding = Encoding.ANGULAR
+        out.append(decode(Genotype(encoding, genes), scenario.attachments).polylines)
+    return out
+
+
+@pytest.mark.parametrize("name", ["harbor_scenario", "tiny_scenario"])
+def test_windowed_clearance_matches_all_pairs_on_random_layouts(request, name):
+    scenario = request.getfixturevalue(name)
+    rng = np.random.default_rng(41)
+    layouts = random_layouts(rng, scenario, 450)
+    zeros = 0
+    for step in (scenario.nav_sampling_step, 0.1, 0.7):
+        zeros += assert_matches_all_pairs(layouts, scenario.fairway, step)
+        # one layout alone, through the public single-layout call
+        layout = Layout(layouts[0], [Material.SOLID_WALL] * len(layouts[0]))
+        single = min_distance_to_fairway(layout, scenario.fairway, 25.0, step)
+        assert single.hex() == (all_pairs_clearance(layouts[0], scenario.fairway, step) * 25.0).hex()
+    assert zeros > 0
+
+
+def test_windowed_clearance_on_layouts_crossing_or_collinear_with_the_fairway():
+    fairway = [[28.0, 2.0], [28.0, 22.0], [25.0, 28.0]]
+    up = math.nextafter(28.0, 30.0)
+    layouts = [
+        [[(20.0, 10.0), (35.0, 10.0)]],                      # crosses at a fairway sample
+        [[(20.0, 10.1), (35.0, 10.3)]],                      # crosses between samples
+        [[(28.0, 5.0), (28.0, 15.0)]],                       # on the fairway
+        [[(28.0, -10.0), (28.0, 0.0)]],                      # collinear, before its start
+        [[(29.0, 20.0), (30.0, 18.0)]],                      # collinear with the second segment
+        [[(24.0, 30.0), (23.0, 32.0), (23.0, 32.0)]],        # collinear beyond its end, then degenerate
+        [[(up, 3.0), (up, 21.0)]],                           # one ulp beside the first segment
+        [[(27.5, 22.0), (28.5, 22.0)], [(28.0, 22.0)]],      # through the bend; a one-vertex polyline
+    ]
+    assert assert_matches_all_pairs(layouts, fairway, 0.25) >= 3
+
+
+def test_windowed_clearance_midway_between_slanted_fairway_samples():
+    # the rounded projection of a midpoint may land on either neighbor: the
+    # window, not the projection alone, has to find the nearer one
+    fairway = np.array([[3.0, 1.0], [17.3, 9.1], [21.0, 2.7], [21.0 + 1e-3, 40.0]])
+    samples = sample_polyline(fairway, 0.25)
+    normal = np.array([0.37, -0.93])
+    layouts = [
+        [[tuple((a + b) / 2.0 + h * normal)]]
+        for a, b in zip(samples[:-1], samples[1:])
+        for h in (0.0, 0.3, 1.7, -2.9)
+    ]
+    assert assert_matches_all_pairs(layouts, fairway, 0.25) == 0
+
+
+def test_windowed_clearance_with_fairway_segments_shorter_than_the_step():
+    rng = np.random.default_rng(43)
+    fairway = [[10.0, 10.0], [10.0, 10.1], [10.1, 10.1], [10.1, 10.1], [15.0, 10.2], [15.0, 10.2]]
+    layouts = [[[tuple(v) for v in rng.uniform(5.0, 20.0, size=(3, 2))]] for _ in range(200)]
+    for step in (0.25, 3.0, 50.0):  # from some segments to every segment sampled once
+        assert_matches_all_pairs(layouts, fairway, step)
+    # a fairway of one point has one sample
+    assert assert_matches_all_pairs(layouts[:20] + [[[(10.0, 10.0), (10.0, 11.0)]]], [[10.0, 10.0]] * 2, 0.25) == 1
+
+
+def test_windowed_clearance_with_a_small_step_near_the_far_corner():
+    rng = np.random.default_rng(47)
+    corner = np.array([59.0, 44.0])  # sochi_like's last cell center
+    fairway = [corner - [0.5, 0.5], corner, corner - [0.2, 0.6]]
+    layouts = [
+        [[tuple(v) for v in corner + rng.uniform(-1.0, 0.6, size=(2, 2))]] for _ in range(150)
+    ]
+    layouts.append([[(3.0e5, -2.0e5), (3.0e5 + 1.0, -2.0e5)]])  # far enough for a window wider than 1
+    for step in (0.01, 0.001):
+        assert_matches_all_pairs(layouts, fairway, step)
 
 
 # ----- rasterization -----

@@ -13,7 +13,8 @@ literals and says so in CHANGES.md. To re-record them, run
     PYTHONPATH=src python tests/test_golden_digests.py > golden.txt
 
 under the recorded numpy: it runs both plans into a temporary directory and
-prints the GOLDEN and CLI_GOLDEN dicts and FULL_SIZE_DIGEST in the layout
+prints the GOLDEN and CLI_GOLDEN dicts, FULL_SIZE_DIGEST and
+FULL_SIZE_GREEDY_DIGESTS in the layout
 below, ready to paste over them; a diff against the committed literals lists
 what moved.
 
@@ -26,6 +27,10 @@ one full-size run too: SPEA2 angular, 30 generations of 30, EA seed 1000 on
 sochi_like, digested as perfbench/worker.py's check_search does (the run's
 label, then every final-front point's float64 bytes). It is the digest
 perfbench/results/baseline.json records for spea2_angular EA seed 1000.
+FULL_SIZE_GREEDY_DIGESTS gates the two greedy variants of the benchmark's
+experiment_greedy workload the same way (SPEA2 angular greedy and DE
+angular greedy, 30 generations of 30, EA seed 1000), as single runs: DE
+evaluates its initial population as one batch and its trials one at a time.
 
 The literals were recorded with numpy 2.4.6 on CPython 3.11 (x86-64). Another
 numpy version may round differently, so the check runs only under the
@@ -42,7 +47,7 @@ import numpy as np
 import pytest
 
 from bwopt.cli import main
-from bwopt.evolution import EAConfig, run_spea2
+from bwopt.evolution import EAConfig, run_de, run_spea2
 from bwopt.experiment import ExperimentPlan, VariantSpec, resolve_scenario, run_experiment
 from bwopt.geometry import Encoding
 from bwopt.objectives import EvaluationWarning
@@ -178,6 +183,11 @@ CLI_GOLDEN = {
 
 FULL_SIZE_DIGEST = "de8bb995e149989b79fd307391180cf89dae77af5e004fc1652d13bdf81fb1bc"
 
+FULL_SIZE_GREEDY_DIGESTS = {
+    "de_angular_greedy": "2e5083cc00472b397889abb4edeed02c833b409f97c33ea6da433cb8e398e56f",
+    "spea2_angular_greedy": "ec9ac4751d9f4579abc027e3b8922fe2765eadeb1ed6d0d5363c87685cec02d3",
+}
+
 
 def golden_plan(scenario: str) -> ExperimentPlan:
     return ExperimentPlan(
@@ -246,10 +256,19 @@ def test_cli_field_exports_match_golden_digests(tmp_path):
     assert not differ, f"{len(differ)} files differ from their recorded digests: {differ}"
 
 
-def full_size_digest() -> str:
-    config = EAConfig(population_size=30, archive_size=30, generations=30, encoding=Encoding.ANGULAR, seed=1000)
-    history = run_spea2(config, resolve_scenario("sochi_like"))
-    digest = hashlib.sha256(b"spea2_angular/seed_1000")
+def full_size_digest(variant: str = "spea2_angular") -> str:
+    """check_search's digest of one 30x30 angular run on sochi_like, EA seed 1000."""
+    algorithm = variant.split("_")[0]
+    config = EAConfig(
+        population_size=30,
+        archive_size=30,
+        generations=30,
+        encoding=Encoding.ANGULAR,
+        greedy=variant.endswith("_greedy"),
+        seed=1000,
+    )
+    history = {"spea2": run_spea2, "de": run_de}[algorithm](config, resolve_scenario("sochi_like"))
+    digest = hashlib.sha256(f"{variant}/seed_1000".encode())
     for ind in history.final_front():
         digest.update(np.ascontiguousarray(ind.point, dtype=float).tobytes())
     return digest.hexdigest()
@@ -257,6 +276,11 @@ def full_size_digest() -> str:
 
 def test_full_size_spea2_angular_front_matches_recorded_digest():
     assert full_size_digest() == FULL_SIZE_DIGEST
+
+
+@pytest.mark.parametrize("variant", sorted(FULL_SIZE_GREEDY_DIGESTS))
+def test_full_size_greedy_fronts_match_recorded_digests(variant):
+    assert full_size_digest(variant) == FULL_SIZE_GREEDY_DIGESTS[variant]
 
 
 def golden_literal() -> str:
@@ -278,6 +302,10 @@ def golden_literal() -> str:
     lines.append("}")
     lines.append("")
     lines.append(f'FULL_SIZE_DIGEST = "{full_size_digest()}"')
+    lines.append("")
+    lines.append("FULL_SIZE_GREEDY_DIGESTS = {")
+    lines += [f'    "{variant}": "{full_size_digest(variant)}",' for variant in sorted(FULL_SIZE_GREEDY_DIGESTS)]
+    lines.append("}")
     return "\n".join(lines)
 
 

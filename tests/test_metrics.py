@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mc_hypervolume
+from conftest import mc_hypervolume, nondominated
 from bwopt import metrics, parallel
 from bwopt.evolution import EAConfig, GenerationRecord, Individual, _update_front, run_spea2
 from bwopt.metrics import (
@@ -21,7 +21,6 @@ from bwopt.metrics import (
     all_front_points,
     dominance,
     hypervolume,
-    nondominated,
     quartile_table,
     reduce_to_2d,
     reference_point,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import segments_cross
+from conftest import all_pairs_clearance, segments_cross
 from bwopt.evolution import EAConfig, sample_genotype
 from bwopt.experiment import resolve_scenario
 from bwopt.geometry import (
@@ -23,14 +23,16 @@ from bwopt.objectives import (
     NAV_INDEX,
     WAVE_START_INDEX,
     Baseline,
+    CandidateError,
     EvaluationWarning,
     ObjectiveVector,
     constraint_counts,
     cost,
+    evaluate,
     relativize,
     single_objective,
 )
-from bwopt.wave import ObstacleSet, simulate
+from bwopt.wave import ObstacleSet, sample, simulate
 
 
 def raw_vector(**kw):
@@ -247,6 +249,77 @@ def test_model_with_only_simulate_evaluates_like_the_builtin(name, monkeypatch):
         feasible += want.feasible
     assert feasible >= 5
     assert len(built) == feasible  # one set over the existing cells and the layout's
+
+
+# ----- a batch against per-candidate references -----
+
+def reference_fields(genotype, scenario) -> tuple:
+    """One candidate's raw objectives from per-candidate references: all-pairs clearance, a dense field."""
+    layout = decode(genotype, scenario.attachments)
+    counts = constraint_counts(genotype, scenario)
+    if sum(counts):
+        heights = scenario.baseline.wave_heights
+    else:
+        cells = rasterize(segment_groups(layout.breakwaters), layout.materials, scenario.grid, scenario.transmission)
+        obstacles = ObstacleSet.from_pairs([*scenario.existing_cells, *cells])
+        field = simulate(scenario.grid, obstacles, scenario.boundary, scenario.diffusion_passes)
+        heights = sample(field, scenario.control_points)
+    clearance = all_pairs_clearance(layout.breakwaters, scenario.fairway, scenario.nav_sampling_step)
+    return (
+        cost(layout.segments(), scenario.grid.cell_size).hex(),
+        (clearance * scenario.grid.cell_size).hex(),
+        heights.tobytes(),
+        *counts,
+    )
+
+
+def raw_fields(raw) -> tuple:
+    return (
+        raw.cost.hex(),
+        raw.nav_distance.hex(),
+        raw.wave_heights.tobytes(),
+        raw.self_intersections,
+        raw.fairway_intersections,
+        raw.land_coverage,
+    )
+
+
+@pytest.mark.parametrize("name, model", [("sochi_like", None), ("tiny_discrete", None), ("sochi_like", "simulate")])
+def test_batches_match_per_candidate_references_field_by_field(name, model):
+    scenario = resolve_scenario(name)
+    if model:
+        scenario = replace(scenario, wave_model=SimulateOnlyModel(scenario.diffusion_passes))
+    rng = np.random.default_rng(67)
+    n = scenario.n_blocks
+    genotypes = angular_genotypes(scenario, 22, 67)
+    genotypes += [
+        Genotype(Encoding.ANGULAR, np.zeros(2 * n)),  # fully degenerate: the attachment points alone
+        Genotype(Encoding.ANGULAR, np.tile([0.0, 30.0], n)),
+        *(Genotype(Encoding.CARTESIAN, rng.uniform(-2.0, [scenario.grid.n_cols + 2.0, scenario.grid.n_rows + 2.0] * n))
+          for _ in range(6)),
+    ]
+    assert len(genotypes) == 30
+    want = [reference_fields(g, scenario) for g in genotypes]
+    feasible = [sum(w[3:]) == 0 for w in want]
+    assert 0 < sum(feasible) < len(genotypes)
+    assert evaluate([], scenario) == []
+    assert [raw_fields(raw) for raw in evaluate(genotypes, scenario)] == want
+    assert [raw_fields(raw) for raw in evaluate(genotypes[-1:], scenario)] == want[-1:]
+    assert raw_fields(scenario.evaluate(genotypes[0])) == want[0]
+    # each feasible candidate's heights are its own array
+    heights = [raw.wave_heights for raw in scenario.evaluate_many(genotypes)]
+    assert all(h.base is None and h.flags.c_contiguous for h in heights)
+
+
+def test_a_failing_candidate_is_named_by_its_index_in_the_batch(harbor_scenario):
+    genotypes = angular_genotypes(harbor_scenario, 4, 71)
+    genes = genotypes[2].genes.copy()
+    genes[0] = np.nan  # a NaN vertex cannot be rasterized
+    genotypes[2] = Genotype(Encoding.ANGULAR, genes)
+    with pytest.raises(CandidateError) as failed:
+        harbor_scenario.evaluate_many(genotypes)
+    assert failed.value.index == 2
+    assert isinstance(failed.value.__cause__, ValueError)
 
 
 # ----- constraint counts against the NumPy-row reference -----

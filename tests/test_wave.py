@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from bwopt import wave
 from bwopt.geometry import LAND, ScenarioGrid, supercover_line
 from bwopt.wave import (
     BoundaryConditions,
@@ -398,6 +399,34 @@ def test_heights_are_bit_identical_to_the_dense_kernel():
     assert border["touches"] > 0 and border["inside"] > 0, border
 
 
+@pytest.mark.parametrize("gather", [wave.GATHER_VALUES, 1, 97])
+def test_stacked_heights_match_each_grid_sampled_from_the_dense_kernel(gather, monkeypatch):
+    # every block size folds the same products and sums: 1 gathers one row per block
+    monkeypatch.setattr(wave, "GATHER_VALUES", gather)
+    rng = np.random.default_rng(59)
+    stacks = 0
+    for trial in range(8):
+        grid = random_grid(rng, int(rng.integers(2, 26)), int(rng.integers(2, 20)))
+        obstacle_sets = [ObstacleSet()] + [random_obstacles(rng, grid) for _ in range(int(rng.integers(1, 12)))]
+        stack = np.column_stack([coefficient_grid(grid, obstacles.cells.items()) for obstacles in obstacle_sets])
+        for direction in ORACLE_DIRECTIONS[trial % 3 :: 3]:
+            boundary = BoundaryConditions(float(rng.uniform(0.5, 3.0)), direction)
+            for passes in (0, 1, 3):
+                model = ShadowDiffusionModel(passes)
+                for points in edge_points(rng, grid)[trial % 2 :: 2]:
+                    want = [
+                        sample(dense_simulate(grid, obstacles, boundary, passes), points).tobytes()
+                        for obstacles in obstacle_sets
+                    ]
+                    got = model.heights(grid, stack, boundary, points)
+                    assert got.shape == (len(obstacle_sets), len(points))
+                    assert [row.tobytes() for row in got] == want, (trial, direction, passes, points)
+                    at_reads = stack[model.cells_read(grid, boundary, points)]
+                    assert model.heights(grid, at_reads, boundary, points).tobytes() == got.tobytes()
+                    stacks += 1
+    assert stacks > 50
+
+
 def test_coefficient_grid_marks_land_obstacles_and_the_sentinel():
     depth = np.full((3, 4), 5.0)
     depth[2, 0] = LAND
@@ -426,16 +455,17 @@ def test_heights_match_the_dense_kernel_on_every_feasible_layout_of_a_run(name, 
     evaluate = scenario_module.evaluate
     checked = []
 
-    def checked_evaluate(genotype, scn):
-        raw = evaluate(genotype, scn)
-        if raw.feasible:
-            layout = decode(genotype, scn.attachments)
-            cells = rasterize(segment_groups(layout.breakwaters), layout.materials, scn.grid, scn.transmission)
-            obstacles = ObstacleSet.from_pairs([*scn.existing_cells, *cells])
-            field = dense_simulate(scn.grid, obstacles, scn.boundary, scn.diffusion_passes)
-            assert raw.wave_heights.tobytes() == sample(field, scn.control_points).tobytes()
-            checked.append(genotype)
-        return raw
+    def checked_evaluate(genotypes, scn):
+        raws = evaluate(genotypes, scn)
+        for genotype, raw in zip(genotypes, raws):
+            if raw.feasible:
+                layout = decode(genotype, scn.attachments)
+                cells = rasterize(segment_groups(layout.breakwaters), layout.materials, scn.grid, scn.transmission)
+                obstacles = ObstacleSet.from_pairs([*scn.existing_cells, *cells])
+                field = dense_simulate(scn.grid, obstacles, scn.boundary, scn.diffusion_passes)
+                assert raw.wave_heights.tobytes() == sample(field, scn.control_points).tobytes()
+                checked.append(genotype)
+        return raws
 
     monkeypatch.setattr(scenario_module, "evaluate", checked_evaluate)
     run_spea2(EAConfig(population_size=10, archive_size=10, generations=4, seed=3), scenario)
@@ -473,6 +503,32 @@ def test_boundary_rejects_nonpositive_height():
 
 
 # ----- sampling -----
+
+def reference_sample(field, points):
+    """The per-point sampler the vectorized one replaced, kept as the reference."""
+    rows, cols = field.shape
+    out = np.empty(len(points))
+    for i, (x, y) in enumerate(points):
+        x = min(max(float(x), 0.0), cols - 1.0)
+        y = min(max(float(y), 0.0), rows - 1.0)
+        gx = min(int(math.floor(x)), cols - 2)
+        gy = min(int(math.floor(y)), rows - 2)
+        tx, ty = x - gx, y - gy
+        top = (1.0 - tx) * field[gy, gx] + tx * field[gy, gx + 1]
+        bottom = (1.0 - tx) * field[gy + 1, gx] + tx * field[gy + 1, gx + 1]
+        out[i] = (1.0 - ty) * top + ty * bottom
+    return out
+
+
+def test_sample_is_bit_identical_to_the_per_point_reference():
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        rows, cols = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        field = rng.uniform(0.0, 3.0, size=(rows, cols))
+        points = [tuple(p) for p in rng.uniform(-1.0, [cols, rows], size=(int(rng.integers(0, 6)), 2))]
+        points += [(float(rng.integers(0, cols)), float(rng.integers(0, rows))), (cols - 1.0, rows - 1.0)]
+        assert sample(field, points).tobytes() == reference_sample(field, points).tobytes()
+
 
 def test_sample_at_cell_centers_is_exact():
     field = np.arange(12, dtype=float).reshape(3, 4)
