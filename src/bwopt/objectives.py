@@ -7,17 +7,15 @@ structures and the fairway). For optimization they are expressed relative to
 the existing configuration, in percent, by relativize, which returns them
 as the one minimization vector laid out as
 [cost, -clearance, height_1, ..., height_m]; the scalar convolution reads
-the same vector. The baseline's heights come from wave_heights with no new
-cells: the wave model's heights call that a batch makes, with one grid.
+the same vector. The baseline's heights come from the wave model's
+layout_heights call that a batch makes, with one layout of no new cells.
 
 evaluate is the one evaluation, and it takes a batch (a generation, or a
 single candidate as a batch of one). Per candidate, in Python: decode, the
 segment groups, rasterization, the three constraint counts, the cost and
-the clearance sample runs, and, for a feasible candidate, its coefficient
-grid written into the batch's stack. Per batch, in NumPy: every
-candidate's clearance (geometry.fairway_clearances) and the heights of the
-feasible ones (one wave-model call over the stack). A model without a
-heights method simulates each feasible candidate's full field instead.
+the clearance sample runs. Per batch: every candidate's clearance
+(geometry.fairway_clearances, in NumPy) and the heights of the feasible
+ones (one layout_heights call of the wave model, see the wave module).
 """
 from __future__ import annotations
 
@@ -39,7 +37,7 @@ from .geometry import (
     segment_groups,
     total_length,
 )
-from .wave import ObstacleSet, sample, with_obstacles
+from .wave import ObstacleSet, sample  # noqa: F401 - sample is traced by perfbench
 
 DENOMINATOR_EPS = 1e-6
 DEFAULT_VIOLATION_PENALTY = 1e6
@@ -102,20 +100,6 @@ def simulate_layout(cells, scenario) -> np.ndarray:
     return scenario.wave_model.simulate(scenario.grid, obstacles, scenario.boundary)
 
 
-def wave_heights(cells, scenario) -> np.ndarray:
-    """Wave heights at the control points with the existing structures plus the given rasterized cells.
-
-    A wave model with a heights method (the built-in one) gets the
-    scenario's coefficient grid with the cells written in; one with only
-    simulate returns a full field, which is sampled.
-    """
-    model = scenario.wave_model
-    if not hasattr(model, "heights"):
-        return sample(simulate_layout(cells, scenario), scenario.control_points)
-    coefficients = with_obstacles(scenario.coefficients, cells, scenario.grid.n_cols)
-    return model.heights(scenario.grid, coefficients, scenario.boundary, scenario.control_points)
-
-
 def _layout_constraints(segments, cells, scenario) -> tuple[int, int, int]:
     """(Self and existing-structure crossings, fairway crossings, cells of `cells` on land)."""
     return (
@@ -155,19 +139,16 @@ def evaluate(genotypes: list[Genotype], scenario) -> list[ObjectiveVector]:
     inherit the baseline wave heights; cost and clearance are still their
     own, so the violation shows up as cost without protection benefit.
 
-    A feasible candidate's coefficient grid is written into the batch's
-    stack as soon as it is made, so no candidate's cells outlive its turn.
-    A failure in a candidate's own work raises CandidateError naming its
-    index, with the failure as the cause.
+    The feasible candidates' cells, in batch order, go to one
+    layout_heights call of the wave model, made only if there is one. A
+    failure in a candidate's own work raises CandidateError naming its
+    index, with the failure as the cause; a failure of that call is the
+    batch's and propagates as it is.
     """
     if not genotypes:
         return []
-    grid, model = scenario.grid, scenario.wave_model
-    stacked = hasattr(model, "heights")
-    if stacked:
-        reads = model.cells_read(grid, scenario.boundary, scenario.control_points)
-        stack = np.empty((len(reads), len(genotypes)))
-    feasible = 0
+    grid = scenario.grid
+    feasible = []
     parts, runs, sizes = [], [], []
     for i, genotype in enumerate(genotypes):
         try:
@@ -177,20 +158,16 @@ def evaluate(genotypes: list[Genotype], scenario) -> list[ObjectiveVector]:
             own = sample_runs(layout.polylines, groups, scenario.nav_sampling_step)
             if sum(counts):
                 heights = scenario.baseline.wave_heights.copy()
-            elif stacked:  # the batch's heights call fills it in
-                stack[:, feasible] = with_obstacles(scenario.coefficients, cells, grid.n_cols)[reads]
-                feasible += 1
+            else:  # the batch's layout_heights call fills it in
+                feasible.append(cells)
                 heights = None
-            else:
-                heights = wave_heights(cells, scenario)
         except Exception as exc:
             raise CandidateError(i) from exc
         parts.append((cost(segments, grid.cell_size), counts, heights))
         runs += own
         sizes.append(len(own))
     if feasible:
-        computed = iter(model.heights(grid, stack[:, :feasible], scenario.boundary, scenario.control_points))
-    stack = None  # freed before the clearance planes are built
+        computed = iter(scenario.wave_model.layout_heights(scenario, feasible))
     clearances = fairway_clearances(runs, sizes, scenario.fairway, scenario.nav_sampling_step)
     out = []
     for (length_cost, counts, heights), clearance in zip(parts, clearances.tolist()):

@@ -6,10 +6,9 @@ breakwaters, control points whose wave heights matter, the fairway, the
 incident sea state, and initialization ranges for the optimizer. A Scenario
 is frozen: constructing one validates it and derives the baseline (existing
 configuration) values that anchor the relative objectives. The baseline
-wave heights take every candidate's path (objectives.wave_heights with no
-new cells) through the scenario's own wave model, so
-dataclasses.replace(scenario, wave_model=m) gives a scenario whose baseline
-comes from m.
+wave heights take every batch's path, the wave model's layout_heights call,
+with one layout of no new cells, so dataclasses.replace(scenario,
+wave_model=m) gives a scenario whose baseline comes from m.
 """
 from __future__ import annotations
 
@@ -44,7 +43,6 @@ from .objectives import (
     evaluate,
     relativize,
     single_objective,
-    wave_heights,
 )
 from .wave import (
     DEFAULT_DIFFUSION_PASSES,
@@ -147,7 +145,7 @@ class Scenario:
         derive("existing_cells", rasterize(groups, existing_layout.materials, self.grid, self.transmission))
         derive("coefficients", coefficient_grid(self.grid, self.existing_cells))
         derive("baseline", Baseline(
-            wave_heights=wave_heights([], self),
+            wave_heights=self.wave_model.layout_heights(self, [[]])[0],
             nav_distance=min_distance_to_fairway(
                 existing_layout, self.fairway, self.grid.cell_size, self.nav_sampling_step
             ),
@@ -224,6 +222,8 @@ class Scenario:
         if self.diffusion_passes < 0:
             out.append("diffusion_passes must be >= 0")
         model = self.wave_model
+        if model is not None and not callable(getattr(model, "layout_heights", None)):
+            out.append(f"wave_model {type(model).__name__} has no layout_heights method")
         if isinstance(model, ShadowDiffusionModel) and model.diffusion_passes != self.diffusion_passes:
             out.append(
                 f"wave_model has {model.diffusion_passes} diffusion passes but diffusion_passes is "

@@ -22,8 +22,12 @@ ray and each neighbor sum in its own order, so a stack costs about as many
 NumPy calls as one grid and its temporaries stay near GATHER_VALUES values.
 Bilinear sampling runs vectorized over the points and the stack.
 
-A real solver can be plugged in through FileExchangeWaveModel, which talks
-plain-text files in a work directory and exchanges a full field per run.
+A wave model has two methods. Evaluation calls layout_heights(scenario,
+layouts) once per batch for a (len(layouts), len(scenario.control_points))
+array: the heights at the control points with the existing structures plus
+each layout's rasterized cells, a row per layout. The CLI's field exports
+call simulate(grid, obstacles, boundary) for a full field. A real solver
+plugs in through FileExchangeWaveModel, which runs it once per layout.
 """
 from __future__ import annotations
 
@@ -402,6 +406,15 @@ class ShadowDiffusionModel:
         """Flat indices, ascending, of the coefficient-grid cells that heights at these points read."""
         return self._point_box(grid, boundary, points)[0].reads
 
+    def layout_heights(self, scenario, layouts) -> np.ndarray:
+        """One heights call over the stack of each layout's coefficients (the scenario's plus its cells)."""
+        grid, boundary, points = scenario.grid, scenario.boundary, scenario.control_points
+        reads = self.cells_read(grid, boundary, points)
+        stack = np.empty((len(reads), len(layouts)))
+        for column, cells in enumerate(layouts):
+            stack[:, column] = with_obstacles(scenario.coefficients, cells, grid.n_cols)[reads]
+        return self.heights(grid, stack, boundary, points)
+
     def heights(self, grid, coefficients, boundary, points) -> np.ndarray:
         """Heights at the points, the same bits as sample(self.simulate(...), points).
 
@@ -423,7 +436,8 @@ class ShadowDiffusionModel:
 class FileExchangeWaveModel:
     """Adapter that delegates the simulation to an external command.
 
-    Per call, the adapter writes into the work directory
+    layout_heights runs it once per layout. Per run, the adapter writes
+    into the work directory
         depth.txt      depth matrix in meters, land cells as the land sentinel
         obstacles.txt  one 'col row coefficient' line per obstacle cell
         boundary.txt   'incident_height <m>' and 'wave_direction <deg>' lines
@@ -443,6 +457,14 @@ class FileExchangeWaveModel:
         self.command = list(command)
         self.workdir = Path(workdir)
         self._pid = os.getpid()
+
+    def layout_heights(self, scenario, layouts) -> np.ndarray:
+        """One solver run per layout, over the existing cells and its own, sampled at the control points."""
+        out = np.empty((len(layouts), len(scenario.control_points)))
+        for row, cells in zip(out, layouts):
+            obstacles = ObstacleSet.from_pairs([*scenario.existing_cells, *cells])
+            row[:] = sample(self.simulate(scenario.grid, obstacles, scenario.boundary), scenario.control_points)
+        return out
 
     def simulate(self, grid, obstacles, boundary) -> np.ndarray:
         pid = os.getpid()

@@ -1,10 +1,13 @@
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import all_pairs_clearance, segments_cross
+from bwopt import evolution
 from bwopt.evolution import EAConfig, sample_genotype
 from bwopt.experiment import resolve_scenario
 from bwopt.geometry import (
@@ -32,7 +35,7 @@ from bwopt.objectives import (
     relativize,
     single_objective,
 )
-from bwopt.wave import ObstacleSet, sample, simulate
+from bwopt.wave import FileExchangeWaveModel, ObstacleSet, ShadowDiffusionModel, sample, simulate
 
 
 def raw_vector(**kw):
@@ -200,16 +203,50 @@ def test_constraint_counts_match_evaluate(unit_scenario):
         )
 
 
-# ----- the wave model's heights path and its simulate-only fallback -----
+# ----- the wave model's one call, layout_heights -----
 
-class SimulateOnlyModel:
-    """A wave model with simulate and no heights, as an external solver's adapter."""
+STUB_SOLVER = Path(__file__).resolve().parent / "stub_solver.py"
+
+KEEPING_STUB = """\
+import runpy, shutil, sys
+from pathlib import Path
+
+run = len(list(Path().glob("obstacles_*.txt"))) + 1
+shutil.copy("obstacles.txt", f"obstacles_{{run}}.txt")
+if run == {fail_at}:
+    sys.stderr.write("diverged")
+    sys.exit(4)
+sys.argv = [{stub!r}, "{passes}"]
+runpy.run_path({stub!r}, run_name="__main__")
+"""
+
+
+def stub_model(tmp_path, passes, fail_at=0) -> FileExchangeWaveModel:
+    """The adapter over tests/stub_solver.py, keeping run k's obstacles.txt as obstacles_k.txt in tmp_path / "work".
+
+    Run fail_at (counted from 1, the baseline's) exits with status 4 and
+    stderr "diverged" instead.
+    """
+    script = tmp_path / "keeping_stub.py"
+    script.write_text(KEEPING_STUB.format(fail_at=fail_at, stub=str(STUB_SOLVER), passes=passes))
+    return FileExchangeWaveModel([sys.executable, str(script)], tmp_path / "work")
+
+
+class RecordingModel(ShadowDiffusionModel):
+    """The built-in model, recording the layouts of every layout_heights call."""
 
     def __init__(self, passes):
-        self.passes = passes
+        super().__init__(passes)
+        self.calls = []
 
-    def simulate(self, grid, obstacles, boundary):
-        return simulate(grid, obstacles, boundary, self.passes)
+    def layout_heights(self, scenario, layouts):
+        self.calls.append(list(layouts))
+        return super().layout_heights(scenario, layouts)
+
+
+def layout_cells(genotype, scenario) -> list:
+    layout = decode(genotype, scenario.attachments)
+    return rasterize(segment_groups(layout.breakwaters), layout.materials, scenario.grid, scenario.transmission)
 
 
 def angular_genotypes(scenario, n, seed):
@@ -236,19 +273,53 @@ def test_builtin_evaluation_builds_no_obstacle_set(harbor_scenario, monkeypatch)
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["sochi_like", "tiny_discrete"])
-def test_model_with_only_simulate_evaluates_like_the_builtin(name, monkeypatch):
-    builtin = resolve_scenario(name)
-    fallback = replace(builtin, wave_model=SimulateOnlyModel(builtin.diffusion_passes))
-    built = counting_obstacle_sets(monkeypatch)
-    feasible = 0
-    for g in angular_genotypes(builtin, 60, 9):
-        want, got = builtin.evaluate(g), fallback.evaluate(g)
-        assert got.wave_heights.tobytes() == want.wave_heights.tobytes()
-        assert (got.cost, got.nav_distance, got.violations) == (want.cost, want.nav_distance, want.violations)
-        feasible += want.feasible
-    assert feasible >= 5
-    assert len(built) == feasible  # one set over the existing cells and the layout's
+def test_evaluate_makes_one_call_per_batch_with_the_feasible_cells_in_order(harbor_scenario):
+    recorded = replace(harbor_scenario, wave_model=RecordingModel(harbor_scenario.diffusion_passes))
+    model = recorded.wave_model
+    assert model.calls == [[[]]]  # the baseline: one layout of no new cells
+    genotypes = angular_genotypes(harbor_scenario, 30, 79)
+    raws = evaluate(genotypes, recorded)
+    feasible = [g for g, raw in zip(genotypes, raws) if raw.feasible]
+    assert 2 <= len(feasible) < len(genotypes)
+    assert model.calls[1:] == [[layout_cells(g, harbor_scenario) for g in feasible]]
+    assert [raw_fields(raw) for raw in raws] == [raw_fields(raw) for raw in evaluate(genotypes, harbor_scenario)]
+    # an all-infeasible batch makes no call
+    model.calls.clear()
+    infeasible = [g for g, raw in zip(genotypes, raws) if not raw.feasible]
+    assert not any(raw.feasible for raw in evaluate(infeasible, recorded))
+    assert model.calls == []
+
+
+def test_the_adapter_answers_a_batch_like_the_builtin_and_lists_every_obstacle(harbor_scenario, tmp_path):
+    builtin = harbor_scenario
+    external = replace(builtin, wave_model=stub_model(tmp_path, builtin.diffusion_passes))
+    assert external.baseline.wave_heights.tobytes() == builtin.baseline.wave_heights.tobytes()
+    genotypes = [g for g in angular_genotypes(builtin, 40, 83) if not sum(constraint_counts(g, builtin))]
+    layouts = [layout_cells(g, builtin) for g in genotypes[:3]]
+    assert len(layouts) == 3
+    got = external.wave_model.layout_heights(external, layouts)
+    assert got.shape == (3, len(builtin.control_points))
+    assert got.tobytes() == builtin.wave_model.layout_heights(builtin, layouts).tobytes()
+    # each run's obstacles.txt lists every cell, the existing one on land at (14, 36) too,
+    # which a coefficient grid cannot hold
+    assert builtin.grid.land_mask[36, 14]
+    for run, cells in enumerate([[], *layouts], start=1):
+        obstacles = ObstacleSet.from_pairs([*builtin.existing_cells, *cells]).cells
+        listing = "".join(f"{col} {row} {coeff!r}\n" for (col, row), coeff in sorted(obstacles.items()))
+        assert (tmp_path / "work" / f"obstacles_{run}.txt").read_text() == listing
+        assert (14, 36) in obstacles
+    assert not (tmp_path / "work" / "obstacles_5.txt").exists()
+
+
+def test_a_failing_external_run_names_the_whole_batch(harbor_scenario, tmp_path):
+    external = replace(harbor_scenario, wave_model=stub_model(tmp_path, harbor_scenario.diffusion_passes, fail_at=2))
+    genotypes = angular_genotypes(harbor_scenario, 6, 89)
+    assert any(not sum(constraint_counts(g, harbor_scenario)) for g in genotypes)
+    with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 3, individuals 5 to 10$") as failed:
+        evolution._evaluate(genotypes, external, 3, 5)
+    cause = failed.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert str(cause).endswith("exited with status 4; stderr tail: 'diverged'")
 
 
 # ----- a batch against per-candidate references -----
@@ -284,11 +355,11 @@ def raw_fields(raw) -> tuple:
     )
 
 
-@pytest.mark.parametrize("name, model", [("sochi_like", None), ("tiny_discrete", None), ("sochi_like", "simulate")])
-def test_batches_match_per_candidate_references_field_by_field(name, model):
+@pytest.mark.parametrize("name, model", [("sochi_like", None), ("tiny_discrete", None), ("sochi_like", "stub")])
+def test_batches_match_per_candidate_references_field_by_field(name, model, tmp_path):
     scenario = resolve_scenario(name)
     if model:
-        scenario = replace(scenario, wave_model=SimulateOnlyModel(scenario.diffusion_passes))
+        scenario = replace(scenario, wave_model=stub_model(tmp_path, scenario.diffusion_passes))
     rng = np.random.default_rng(67)
     n = scenario.n_blocks
     genotypes = angular_genotypes(scenario, 22, 67)

@@ -15,7 +15,7 @@ from bwopt.scenario import (
     load_scenario,
     scenario_to_json,
 )
-from bwopt.wave import ObstacleSet, sample, simulate
+from bwopt.wave import ObstacleSet, ShadowDiffusionModel, sample, simulate
 from conftest import scenario_dict
 
 
@@ -62,10 +62,13 @@ def test_unit_scenario_baseline(unit_scenario):
 # ----- wave model -----
 
 class HalvedModel:
-    """A simulate-only wave model whose field is half the built-in one."""
+    """A wave model whose heights and field are half the built-in ones (halving is exact)."""
 
     def __init__(self, passes):
         self.passes = passes
+
+    def layout_heights(self, scenario, layouts):
+        return 0.5 * ShadowDiffusionModel(self.passes).layout_heights(scenario, layouts)
 
     def simulate(self, grid, obstacles, boundary):
         return 0.5 * simulate(grid, obstacles, boundary, self.passes)
@@ -83,6 +86,11 @@ def test_replacing_the_wave_model_takes_the_baseline_from_it(harbor_scenario):
     unchanged = Genotype(Encoding.ANGULAR, np.zeros(2 * halved.n_blocks))
     point = halved.min_point(halved.evaluate(unchanged))
     assert point[WAVE_START_INDEX:].tolist() == [0.0] * len(halved.control_points)
+
+
+def test_wave_model_without_layout_heights_is_rejected(harbor_scenario):
+    with pytest.raises(ScenarioError, match="wave_model object has no layout_heights method"):
+        replace(harbor_scenario, wave_model=object())
 
 
 def test_scenario_is_frozen(unit_scenario):
