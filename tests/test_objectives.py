@@ -331,8 +331,7 @@ def reference_fields(genotype, scenario) -> tuple:
     if sum(counts):
         heights = scenario.baseline.wave_heights
     else:
-        cells = rasterize(segment_groups(layout.breakwaters), layout.materials, scenario.grid, scenario.transmission)
-        obstacles = ObstacleSet.from_pairs([*scenario.existing_cells, *cells])
+        obstacles = ObstacleSet.from_pairs([*scenario.existing_cells, *layout_cells(genotype, scenario)])
         field = simulate(scenario.grid, obstacles, scenario.boundary, scenario.diffusion_passes)
         heights = sample(field, scenario.control_points)
     clearance = all_pairs_clearance(layout.breakwaters, scenario.fairway, scenario.nav_sampling_step)
