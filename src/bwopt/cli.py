@@ -28,9 +28,9 @@ from .experiment import (
     run_experiment,
     write_json,
 )
-from .geometry import Encoding, Genotype, decode, rasterize, segment_groups
+from .geometry import Encoding, Genotype
 from .metrics import hypervolume, reference_point
-from .objectives import COST_INDEX, NAV_INDEX, WAVE_START_INDEX, simulate_layout
+from .objectives import COST_INDEX, NAV_INDEX, WAVE_START_INDEX, _layout_geometry, simulate_layout
 from .scenario import ScenarioError
 from .wave import write_field
 
@@ -245,9 +245,8 @@ def _export_field(args: argparse.Namespace) -> int:
             raise ValueError(f"member {args.member} out of range, front has {len(members)} members")
         member = members[args.member]
         genotype = Genotype(Encoding(member["encoding"]), np.array(member["genes"], dtype=float))
-        layout = decode(genotype, scenario.attachments)
-        groups = segment_groups(layout.polylines)
-        field = simulate_layout(rasterize(groups, layout.materials, scenario.grid, scenario.transmission), scenario)
+        layout, _, cells = _layout_geometry(genotype, scenario)
+        field = simulate_layout(cells, scenario)
         new_polylines = layout.breakwaters
         label = f"member {args.member} of {args.front}"
     else:

@@ -282,26 +282,20 @@ def _evaluate(genotypes: list[Genotype], scenario, generation: int, first: int =
     """The individuals of one batch, evaluated by scenario.evaluate_many, in order.
 
     genotypes[0] is individual first of its generation. A failure raises
-    RuntimeError naming the generation and the failing individual; a
-    failure in the batch's shared stages names the whole batch.
+    RuntimeError naming the generation and the failing individual, or the
+    batch for its shared stages; min_point cannot fail on a checked answer.
     """
-    def failure(who: str) -> RuntimeError:
-        return RuntimeError(f"evaluation failed at generation {generation}, {who}")
-
+    failed = f"evaluation failed at generation {generation}"
     try:
         raws = scenario.evaluate_many(genotypes)
     except CandidateError as exc:
-        raise failure(f"individual {first + exc.index}") from exc
+        raise RuntimeError(f"{failed}, individual {first + exc.index}") from exc
     except Exception as exc:  # a shared stage of the batch, which no one candidate owns
-        raise failure(f"individuals {first} to {first + len(genotypes) - 1}") from exc
-    population = []
-    for i, (genotype, objectives) in enumerate(zip(genotypes, raws)):
-        try:
-            point = scenario.min_point(objectives)
-        except Exception as exc:
-            raise failure(f"individual {first + i}") from exc
-        population.append(Individual(genotype=genotype, objectives=objectives, point=point, fitness=None))
-    return population
+        raise RuntimeError(f"{failed}, individuals {first} to {first + len(genotypes) - 1}") from exc
+    return [
+        Individual(genotype=genotype, objectives=raw, point=scenario.min_point(raw), fitness=None)
+        for genotype, raw in zip(genotypes, raws)
+    ]
 
 
 def _update_front(front: list[Individual], newcomers: list[Individual]) -> list[Individual]:

@@ -7,15 +7,15 @@ structures and the fairway). For optimization they are expressed relative to
 the existing configuration, in percent, by relativize, which returns them
 as the one minimization vector laid out as
 [cost, -clearance, height_1, ..., height_m]; the scalar convolution reads
-the same vector. The baseline's heights come from the wave model's
-layout_heights call that a batch makes, with one layout of no new cells.
+the same vector. The baseline's heights, and a batch's, come from
+model_heights, the one call of the wave model, which checks its answer.
 
 evaluate is the one evaluation, and it takes a batch (a generation, or a
 single candidate as a batch of one). Per candidate, in Python: decode, the
 segment groups, rasterization, the three constraint counts, the cost and
 the clearance sample runs. Per batch: every candidate's clearance
 (geometry.fairway_clearances, in NumPy) and the heights of the feasible
-ones (one layout_heights call of the wave model, see the wave module).
+ones (one model_heights call).
 """
 from __future__ import annotations
 
@@ -100,6 +100,17 @@ def simulate_layout(cells, scenario) -> np.ndarray:
     return scenario.wave_model.simulate(scenario.grid, obstacles, scenario.boundary)
 
 
+def model_heights(scenario, layouts) -> np.ndarray:
+    """The wave model's layout_heights answer, checked against the contract in the wave module."""
+    heights = scenario.wave_model.layout_heights(scenario, layouts)
+    model, shape = type(scenario.wave_model).__name__, (len(layouts), len(scenario.control_points))
+    if not isinstance(heights, np.ndarray) or heights.shape != shape:
+        raise ValueError(f"wave model {model} answered shape {np.shape(heights)}, expected {shape}")
+    if not ((heights >= 0.0) & (heights < np.inf)).all():  # NaN fails both
+        raise ValueError(f"wave model {model} answered a NaN, infinite or negative height")
+    return heights
+
+
 def _layout_constraints(segments, cells, scenario) -> tuple[int, int, int]:
     """(Self and existing-structure crossings, fairway crossings, cells of `cells` on land)."""
     return (
@@ -139,11 +150,11 @@ def evaluate(genotypes: list[Genotype], scenario) -> list[ObjectiveVector]:
     inherit the baseline wave heights; cost and clearance are still their
     own, so the violation shows up as cost without protection benefit.
 
-    The feasible candidates' cells, in batch order, go to one
-    layout_heights call of the wave model, made only if there is one. A
-    failure in a candidate's own work raises CandidateError naming its
-    index, with the failure as the cause; a failure of that call is the
-    batch's and propagates as it is.
+    The feasible candidates' cells, in batch order, go to one model_heights
+    call, made only if there is one. A failure in a candidate's own work
+    raises CandidateError naming its index, with the failure as the cause;
+    a failure of that call, a bad answer included, is the batch's and
+    propagates as it is.
     """
     if not genotypes:
         return []
@@ -158,7 +169,7 @@ def evaluate(genotypes: list[Genotype], scenario) -> list[ObjectiveVector]:
             own = sample_runs(layout.polylines, groups, scenario.nav_sampling_step)
             if sum(counts):
                 heights = scenario.baseline.wave_heights.copy()
-            else:  # the batch's layout_heights call fills it in
+            else:  # the batch's model_heights call fills it in
                 feasible.append(cells)
                 heights = None
         except Exception as exc:
@@ -167,7 +178,7 @@ def evaluate(genotypes: list[Genotype], scenario) -> list[ObjectiveVector]:
         runs += own
         sizes.append(len(own))
     if feasible:
-        computed = iter(scenario.wave_model.layout_heights(scenario, feasible))
+        computed = iter(model_heights(scenario, feasible))
     clearances = fairway_clearances(runs, sizes, scenario.fairway, scenario.nav_sampling_step)
     out = []
     for (length_cost, counts, heights), clearance in zip(parts, clearances.tolist()):

@@ -6,7 +6,7 @@ breakwaters, control points whose wave heights matter, the fairway, the
 incident sea state, and initialization ranges for the optimizer. A Scenario
 is frozen: constructing one validates it and derives the baseline (existing
 configuration) values that anchor the relative objectives. The baseline
-wave heights take every batch's path, the wave model's layout_heights call,
+wave heights take every batch's checked path, objectives.model_heights,
 with one layout of no new cells, so dataclasses.replace(scenario,
 wave_model=m) gives a scenario whose baseline comes from m.
 """
@@ -41,6 +41,7 @@ from .objectives import (
     ObjectiveVector,
     cost,
     evaluate,
+    model_heights,
     relativize,
     single_objective,
 )
@@ -94,13 +95,7 @@ class GeneLevels:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated on construction; the fields after wave_model are derived from those before it.
-
-    wave_model defaults to ShadowDiffusionModel(diffusion_passes). A built-in
-    model whose passes differ from diffusion_passes is rejected, so
-    dataclasses.replace(scenario, diffusion_passes=k, wave_model=None) is
-    the way to change the passes.
-    """
+    """Validated on construction; the fields after wave_model are derived from those before it."""
 
     name: str
     grid: ScenarioGrid
@@ -113,10 +108,9 @@ class Scenario:
     init: InitRanges = field(default_factory=InitRanges)
     gene_levels: GeneLevels | None = None
     nav_sampling_step: float = 0.25
-    diffusion_passes: int = DEFAULT_DIFFUSION_PASSES
     violation_penalty: float = DEFAULT_VIOLATION_PENALTY
     source: dict | None = None
-    wave_model: object = None
+    wave_model: object = field(default_factory=ShadowDiffusionModel)
     existing_segments: list = field(init=False)  # geometry.segment_groups of the structures, flattened
     fairway_segments: list = field(init=False)
     existing_cells: list = field(init=False)  # geometry.rasterize of the structures' segment groups
@@ -133,8 +127,6 @@ class Scenario:
         if violations:
             raise ScenarioError(violations)
         derive = partial(object.__setattr__, self)
-        if self.wave_model is None:
-            derive("wave_model", ShadowDiffusionModel(self.diffusion_passes))
         existing_layout = Layout(
             polylines=[verts for verts, _ in self.existing_structures],
             materials=[mat for _, mat in self.existing_structures],
@@ -145,7 +137,7 @@ class Scenario:
         derive("existing_cells", rasterize(groups, existing_layout.materials, self.grid, self.transmission))
         derive("coefficients", coefficient_grid(self.grid, self.existing_cells))
         derive("baseline", Baseline(
-            wave_heights=self.wave_model.layout_heights(self, [[]])[0],
+            wave_heights=model_heights(self, [[]])[0],
             nav_distance=min_distance_to_fairway(
                 existing_layout, self.fairway, self.grid.cell_size, self.nav_sampling_step
             ),
@@ -219,16 +211,8 @@ class Scenario:
                 out.append("gene_levels lengths must be non-negative")
         if not self.nav_sampling_step > 0:
             out.append("nav_sampling_step must be positive")
-        if self.diffusion_passes < 0:
-            out.append("diffusion_passes must be >= 0")
-        model = self.wave_model
-        if model is not None and not callable(getattr(model, "layout_heights", None)):
-            out.append(f"wave_model {type(model).__name__} has no layout_heights method")
-        if isinstance(model, ShadowDiffusionModel) and model.diffusion_passes != self.diffusion_passes:
-            out.append(
-                f"wave_model has {model.diffusion_passes} diffusion passes but diffusion_passes is "
-                f"{self.diffusion_passes}; replace both, or pass wave_model=None to rebuild the model"
-            )
+        if not callable(getattr(self.wave_model, "layout_heights", None)):
+            out.append(f"wave_model {type(self.wave_model).__name__} has no layout_heights method")
         return out
 
     def _anchored(self, p: AttachmentPoint) -> bool:
@@ -356,10 +340,17 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
             lengths=_numbers(g.get("lengths", ()), "gene_levels lengths", problems),
             angles=_numbers(g.get("angles", ()), "gene_levels angles", problems),
         )
-    nav_sampling_step, diffusion_passes, violation_penalty = (
-        _number(data.get(key, getattr(Scenario, key)), key, problems, whole=key == "diffusion_passes")
-        for key in ("nav_sampling_step", "diffusion_passes", "violation_penalty")
+    nav_sampling_step, violation_penalty = (
+        _number(data.get(key, getattr(Scenario, key)), key, problems)
+        for key in ("nav_sampling_step", "violation_penalty")
     )
+    passes = _number(
+        data.get("diffusion_passes", DEFAULT_DIFFUSION_PASSES), "diffusion_passes", problems, whole=True
+    )
+    try:
+        wave_model = ShadowDiffusionModel(passes) if passes is not None else None
+    except ValueError as exc:
+        problems.append(str(exc))
     if problems or grid is None or boundary is None:
         raise ScenarioError(problems or ["scenario file is empty"])
     return Scenario(
@@ -374,9 +365,9 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         init=init,
         gene_levels=levels,
         nav_sampling_step=nav_sampling_step,
-        diffusion_passes=diffusion_passes,
         violation_penalty=violation_penalty,
         source=data,
+        wave_model=wave_model,
     )
 
 

@@ -23,11 +23,12 @@ NumPy calls as one grid and its temporaries stay near GATHER_VALUES values.
 Bilinear sampling runs vectorized over the points and the stack.
 
 A wave model has two methods. Evaluation calls layout_heights(scenario,
-layouts) once per batch for a (len(layouts), len(scenario.control_points))
-array: the heights at the control points with the existing structures plus
-each layout's rasterized cells, a row per layout. The CLI's field exports
-call simulate(grid, obstacles, boundary) for a full field. A real solver
-plugs in through FileExchangeWaveModel, which runs it once per layout.
+layouts) once per batch, through objectives.model_heights, for a
+(len(layouts), len(scenario.control_points)) array of finite heights >= 0
+at the control points with the existing structures plus each layout's
+rasterized cells, a row per layout; any other answer raises ValueError
+naming the model. Field exports call simulate(grid, obstacles, boundary).
+A real solver plugs in through FileExchangeWaveModel, one run per layout.
 """
 from __future__ import annotations
 
@@ -390,6 +391,8 @@ class ShadowDiffusionModel:
     """Built-in stand-in wave model (see module docstring)."""
 
     def __init__(self, diffusion_passes: int = DEFAULT_DIFFUSION_PASSES):
+        if not (diffusion_passes >= 0 and float(diffusion_passes).is_integer()):
+            raise ValueError(f"diffusion_passes must be a whole number >= 0, got {diffusion_passes!r}")
         self.diffusion_passes = int(diffusion_passes)
 
     def simulate(self, grid, obstacles, boundary) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import all_pairs_clearance, segments_cross
 from bwopt import evolution
-from bwopt.evolution import EAConfig, sample_genotype
-from bwopt.experiment import resolve_scenario
+from bwopt.evolution import EAConfig, run_spea2, sample_genotype
+from bwopt.experiment import plan_from_dict, resolve_scenario, run_experiment
 from bwopt.geometry import (
     Encoding,
     Genotype,
@@ -274,7 +274,7 @@ def test_builtin_evaluation_builds_no_obstacle_set(harbor_scenario, monkeypatch)
 
 
 def test_evaluate_makes_one_call_per_batch_with_the_feasible_cells_in_order(harbor_scenario):
-    recorded = replace(harbor_scenario, wave_model=RecordingModel(harbor_scenario.diffusion_passes))
+    recorded = replace(harbor_scenario, wave_model=RecordingModel(harbor_scenario.wave_model.diffusion_passes))
     model = recorded.wave_model
     assert model.calls == [[[]]]  # the baseline: one layout of no new cells
     genotypes = angular_genotypes(harbor_scenario, 30, 79)
@@ -292,7 +292,7 @@ def test_evaluate_makes_one_call_per_batch_with_the_feasible_cells_in_order(harb
 
 def test_the_adapter_answers_a_batch_like_the_builtin_and_lists_every_obstacle(harbor_scenario, tmp_path):
     builtin = harbor_scenario
-    external = replace(builtin, wave_model=stub_model(tmp_path, builtin.diffusion_passes))
+    external = replace(builtin, wave_model=stub_model(tmp_path, builtin.wave_model.diffusion_passes))
     assert external.baseline.wave_heights.tobytes() == builtin.baseline.wave_heights.tobytes()
     genotypes = [g for g in angular_genotypes(builtin, 40, 83) if not sum(constraint_counts(g, builtin))]
     layouts = [layout_cells(g, builtin) for g in genotypes[:3]]
@@ -312,7 +312,8 @@ def test_the_adapter_answers_a_batch_like_the_builtin_and_lists_every_obstacle(h
 
 
 def test_a_failing_external_run_names_the_whole_batch(harbor_scenario, tmp_path):
-    external = replace(harbor_scenario, wave_model=stub_model(tmp_path, harbor_scenario.diffusion_passes, fail_at=2))
+    model = stub_model(tmp_path, harbor_scenario.wave_model.diffusion_passes, fail_at=2)
+    external = replace(harbor_scenario, wave_model=model)
     genotypes = angular_genotypes(harbor_scenario, 6, 89)
     assert any(not sum(constraint_counts(g, harbor_scenario)) for g in genotypes)
     with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 3, individuals 5 to 10$") as failed:
@@ -320,6 +321,54 @@ def test_a_failing_external_run_names_the_whole_batch(harbor_scenario, tmp_path)
     cause = failed.value.__cause__
     assert isinstance(cause, RuntimeError)
     assert str(cause).endswith("exited with status 4; stderr tail: 'diverged'")
+
+
+class NaNEverySeventhModel(ShadowDiffusionModel):
+    """The built-in model, answering NaN for every 7th layout it is asked about (the baseline's is the 1st)."""
+
+    def __init__(self):
+        super().__init__()
+        self.layouts = 0
+
+    def layout_heights(self, scenario, layouts):
+        heights = super().layout_heights(scenario, layouts)
+        heights[[i for i in range(len(layouts)) if (self.layouts + i + 1) % 7 == 0]] = np.nan
+        self.layouts += len(layouts)
+        return heights
+
+
+class NarrowBatchModel(ShadowDiffusionModel):
+    """The built-in model, dropping the last control point's heights from every batch but the baseline's."""
+
+    def layout_heights(self, scenario, layouts):
+        heights = super().layout_heights(scenario, layouts)
+        return heights if layouts == [[]] else heights[:, :-1]
+
+
+@pytest.mark.parametrize("model", [NaNEverySeventhModel, NarrowBatchModel])
+def test_a_bad_model_answer_fails_the_batch_naming_the_model(harbor_scenario, model, tmp_path):
+    scenario = replace(harbor_scenario, wave_model=model())
+    config = EAConfig(population_size=10, archive_size=10, generations=4, seed=1)
+    with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 0, individuals 0 to 9$") as failed:
+        run_spea2(config, scenario)
+    cause = failed.value.__cause__
+    assert isinstance(cause, ValueError)
+    assert str(cause).startswith(f"wave model {model.__name__} answered ")
+    # the experiment records the failure; with no run left, it raises with the first one recorded
+    plan = plan_from_dict({"seeds": [1], "generations": 4, "population_size": 10, "archive_size": 10})
+    recorded = "all 1 runs failed; first error: evaluation failed at generation 0, individuals 0 to 9"
+    with pytest.raises(RuntimeError, match=f"^{recorded}$"):
+        run_experiment(plan, replace(harbor_scenario, wave_model=model()), tmp_path / "out")
+
+
+def test_a_model_answering_too_few_heights_is_rejected_by_the_scenario(harbor_scenario):
+    class TooFewHeightsModel(ShadowDiffusionModel):
+        def layout_heights(self, scenario, layouts):
+            return super().layout_heights(scenario, layouts)[:, :-1]
+
+    wanted = r"^wave model TooFewHeightsModel answered shape \(1, 2\), expected \(1, 3\)$"
+    with pytest.raises(ValueError, match=wanted):
+        replace(harbor_scenario, wave_model=TooFewHeightsModel())
 
 
 # ----- a batch against per-candidate references -----
@@ -332,7 +381,7 @@ def reference_fields(genotype, scenario) -> tuple:
         heights = scenario.baseline.wave_heights
     else:
         obstacles = ObstacleSet.from_pairs([*scenario.existing_cells, *layout_cells(genotype, scenario)])
-        field = simulate(scenario.grid, obstacles, scenario.boundary, scenario.diffusion_passes)
+        field = simulate(scenario.grid, obstacles, scenario.boundary, scenario.source["diffusion_passes"])
         heights = sample(field, scenario.control_points)
     clearance = all_pairs_clearance(layout.breakwaters, scenario.fairway, scenario.nav_sampling_step)
     return (
@@ -358,7 +407,7 @@ def raw_fields(raw) -> tuple:
 def test_batches_match_per_candidate_references_field_by_field(name, model, tmp_path):
     scenario = resolve_scenario(name)
     if model:
-        scenario = replace(scenario, wave_model=stub_model(tmp_path, scenario.diffusion_passes))
+        scenario = replace(scenario, wave_model=stub_model(tmp_path, scenario.wave_model.diffusion_passes))
     rng = np.random.default_rng(67)
     n = scenario.n_blocks
     genotypes = angular_genotypes(scenario, 22, 67)

@@ -75,7 +75,7 @@ class HalvedModel:
 
 
 def test_replacing_the_wave_model_takes_the_baseline_from_it(harbor_scenario):
-    halved = replace(harbor_scenario, wave_model=HalvedModel(harbor_scenario.diffusion_passes))
+    halved = replace(harbor_scenario, wave_model=HalvedModel(harbor_scenario.wave_model.diffusion_passes))
     field = halved.wave_model.simulate(
         halved.grid, ObstacleSet.from_pairs(halved.existing_cells), halved.boundary
     )
@@ -95,16 +95,29 @@ def test_wave_model_without_layout_heights_is_rejected(harbor_scenario):
 
 def test_scenario_is_frozen(unit_scenario):
     with pytest.raises(FrozenInstanceError):
-        unit_scenario.wave_model = HalvedModel(unit_scenario.diffusion_passes)
+        unit_scenario.wave_model = HalvedModel(unit_scenario.wave_model.diffusion_passes)
 
 
-def test_builtin_model_with_other_diffusion_passes_is_rejected(harbor_scenario):
-    assert harbor_scenario.diffusion_passes == 3
-    with pytest.raises(ScenarioError, match="wave_model has 3 diffusion passes but diffusion_passes is 0"):
-        replace(harbor_scenario, diffusion_passes=0)
-    rebuilt = replace(harbor_scenario, diffusion_passes=0, wave_model=None)
-    assert rebuilt.wave_model.diffusion_passes == 0
-    assert not np.array_equal(rebuilt.baseline.wave_heights, harbor_scenario.baseline.wave_heights)
+def test_no_wave_model_is_rejected(harbor_scenario):
+    with pytest.raises(ScenarioError, match="wave_model NoneType has no layout_heights method"):
+        replace(harbor_scenario, wave_model=None)
+
+
+def test_the_scenario_files_passes_configure_the_builtin_model(harbor_scenario, tmp_path):
+    assert harbor_scenario.wave_model.diffusion_passes == 3
+    data = json.loads(shipped_scenario_path("sochi_like").read_text())
+    (tmp_path / "scn.json").write_text(json.dumps({**data, "diffusion_passes": 0}))
+    from_file = load_scenario(tmp_path / "scn.json")
+    replaced = replace(harbor_scenario, wave_model=ShadowDiffusionModel(0))
+    assert from_file.wave_model.diffusion_passes == replaced.wave_model.diffusion_passes == 0
+    assert from_file.baseline.wave_heights.tobytes() == replaced.baseline.wave_heights.tobytes()
+    assert not np.array_equal(replaced.baseline.wave_heights, harbor_scenario.baseline.wave_heights)
+
+
+@pytest.mark.parametrize("passes", [-1, 1.5])
+def test_builtin_model_rejects_passes_that_are_not_whole_and_nonnegative(passes):
+    with pytest.raises(ValueError, match="diffusion_passes must be a whole number >= 0"):
+        ShadowDiffusionModel(passes)
 
 
 # ----- validation -----
@@ -203,6 +216,7 @@ MALFORMED = [  # (key path into tiny_discrete, bad value, the violation it must 
     (("gene_levels", "lengths"), [0.0, "two"], "gene_levels lengths: must be a list of numbers"),
     (("boundary", "wave_direction"), float("nan"), "boundary: wave_direction must be finite"),
     (("diffusion_passes",), 1.5, "diffusion_passes: must be a whole number"),
+    (("diffusion_passes",), -1, "diffusion_passes must be a whole number >= 0, got -1"),
     (("attachments", 0, "n_segments"), 1.7, "attachment 0 n_segments: must be a whole number"),
     (("grid", "cell_size"), "wide", "grid cell_size: must be a number"),
     (("grid", "depth"), [[1.0, 2.0], [3.0]], "grid depth: must be rows of numbers"),

@@ -462,7 +462,7 @@ def test_heights_match_the_dense_kernel_on_every_feasible_layout_of_a_run(name, 
                 layout = decode(genotype, scn.attachments)
                 cells = rasterize(segment_groups(layout.breakwaters), layout.materials, scn.grid, scn.transmission)
                 obstacles = ObstacleSet.from_pairs([*scn.existing_cells, *cells])
-                field = dense_simulate(scn.grid, obstacles, scn.boundary, scn.diffusion_passes)
+                field = dense_simulate(scn.grid, obstacles, scn.boundary, scn.wave_model.diffusion_passes)
                 assert raw.wave_heights.tobytes() == sample(field, scn.control_points).tobytes()
                 checked.append(genotype)
         return raws
