@@ -20,7 +20,7 @@ Both loops follow one generation contract:
   ends with exactly population_size * (g + 1) model runs; the initial
   population is generation 0 and is evaluated even when generations is 0.
 * Record. _record appends one GenerationRecord per generation and derives
-  its index, budget, cumulative front and best scalar from the previous one.
+  its index, budget, front, arrivals and best scalar from the previous one.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Encoding, Genotype
-from .metrics import dominance
+from .metrics import at_most, dominance
 from .objectives import CandidateError, ObjectiveVector
 
 
@@ -74,6 +74,7 @@ class GenerationRecord:
     population: list[Individual]
     archive: list[Individual]
     front: list[Individual]            # cumulative feasible nondominated set
+    arrivals: list[Individual]         # the members new to front: its tail, in order
     best_scalar: float
 
 
@@ -108,13 +109,9 @@ def sample_genotype(config: EAConfig, scenario, rng: np.random.Generator) -> Gen
             genes[0::2] = rng.uniform(0.0, scenario.init.max_length, size=n_blocks)
             genes[1::2] = rng.uniform(scenario.init.angle_low, scenario.init.angle_high, size=n_blocks)
         return Genotype(Encoding.ANGULAR, genes)
-    bbox = scenario.init.cartesian_bbox
-    if bbox is None:
-        bbox = (0.0, 0.0, scenario.grid.n_cols - 1.0, scenario.grid.n_rows - 1.0)
-    x0, y0, x1, y1 = bbox
-    genes = np.empty(2 * n_blocks)
-    genes[0::2] = rng.uniform(x0, x1, size=n_blocks)
-    genes[1::2] = rng.uniform(y0, y1, size=n_blocks)
+    genes = np.empty(2 * n_blocks)  # anywhere on the grid
+    genes[0::2] = rng.uniform(0.0, scenario.grid.n_cols - 1.0, size=n_blocks)
+    genes[1::2] = rng.uniform(0.0, scenario.grid.n_rows - 1.0, size=n_blocks)
     return Genotype(Encoding.CARTESIAN, genes)
 
 
@@ -298,34 +295,34 @@ def _evaluate(genotypes: list[Genotype], scenario, generation: int, first: int =
     ]
 
 
-def _update_front(front: list[Individual], newcomers: list[Individual]) -> list[Individual]:
-    """Cumulative nondominated set over all feasible evaluated individuals.
+def _update_front(
+    front: list[Individual], newcomers: list[Individual]
+) -> tuple[list[Individual], list[Individual]]:
+    """The cumulative nondominated set over all feasible evaluated individuals, as (kept, arrivals).
 
-    front must be a result of _update_front (or empty): nondominated, with
-    no two members at the same point. Only the feasible newcomers are
-    checked, on the newcomer x front and newcomer x newcomer planes of
-    a <= b in every objective: two points are equal when each is <= the
-    other (so -0.0 and 0.0 are equal, and a NaN point equals nothing), and
-    otherwise a <= b is dominance. A newcomer equal to a front member or to
-    an earlier newcomer is dropped, so an exact duplicate keeps its earliest
-    copy and reruns are deterministic. The result is the front members no
-    newcomer dominates, in front order, then the newcomers nothing
-    dominates, in order.
+    front must be kept + arrivals of an earlier call (or empty):
+    nondominated, with no two members at the same point. Only the feasible
+    newcomers are checked, on the newcomer x front and newcomer x newcomer
+    planes of metrics.at_most: two points are equal when each is at most
+    the other, and otherwise at most is dominance. A newcomer equal to a
+    front member or to an earlier newcomer is dropped, so an exact duplicate
+    keeps its earliest copy and reruns are deterministic. kept is the front
+    members no newcomer dominates, in front order; arrivals is the newcomers
+    nothing dominates, in order. The new front is kept + arrivals.
     """
     fresh = [ind for ind in newcomers if ind.objectives.feasible]
     if not fresh:
-        return list(front)
+        return front, []
     new = np.array([ind.point for ind in fresh])
-    below = np.all(new[:, None] <= new[None], axis=2)  # [i, j]: newcomer i <= newcomer j
+    below = at_most(new, new)
     lost = (np.triu(below & below.T, 1) | (below & ~below.T)).any(axis=0)
     if front:
         old = np.array([ind.point for ind in front])
-        new_le_old = np.all(new[:, None] <= old[None], axis=2)
-        old_le_new = np.all(old[:, None] <= new[None], axis=2)
+        old_le_new = at_most(old, new)
         lost |= old_le_new.any(axis=0)  # equal to or dominated by a front member
-        beaten = (new_le_old & ~old_le_new.T).any(axis=0)
+        beaten = (at_most(new, old) & ~old_le_new.T).any(axis=0)
         front = [ind for ind, out in zip(front, beaten) if not out]
-    return front + [ind for ind, out in zip(fresh, lost) if not out]
+    return front, [ind for ind, out in zip(fresh, lost) if not out]
 
 
 def _check_mask(history: RunHistory, child: Genotype, parent: Genotype, mask: slice) -> None:
@@ -354,13 +351,15 @@ def _record(history: RunHistory, population: list[Individual], archive: list[Ind
     for value in scalars:
         if value < best:
             best = value
+    kept, arrivals = _update_front(previous.front if previous else [], population)
     history.records.append(
         GenerationRecord(
             generation=len(history.records),
             model_runs=(previous.model_runs if previous else 0) + len(population),
             population=population,
             archive=list(archive),
-            front=_update_front(previous.front if previous else [], population),
+            front=kept + arrivals,
+            arrivals=arrivals,
             best_scalar=best,
         )
     )

@@ -119,25 +119,31 @@ class ExperimentPlan:
         return replace(config, **self.operators) if self.operators else config
 
 
+def _plan_value(value, key: str, kind: type = int):
+    """value if its type is kind, bool or int (a bool or 2.0 is no int); ValueError naming key otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"plan {key} must be {'a bool' if kind is bool else 'an integer'}, got {value!r}")
+    return value
+
+
 def plan_from_dict(data: dict) -> ExperimentPlan:
     """Build a plan from parsed JSON; a single top-level variant is allowed."""
     variants = [
         VariantSpec(
             algorithm=str(v.get("algorithm", "spea2")),
             encoding=Encoding(v.get("encoding", "angular")),
-            greedy=bool(v.get("greedy", False)),
+            greedy=_plan_value(v.get("greedy", False), "greedy", bool),
         )
         for v in (data["variants"] if "variants" in data else [data])
     ]
-    seeds = [int(s) for s in data["seeds"]]
-    if "repeats" in data and int(data["repeats"]) != len(seeds):
+    seeds = [_plan_value(s, "seeds") for s in data["seeds"]]
+    if "repeats" in data and _plan_value(data["repeats"], "repeats") != len(seeds):
         raise ValueError(f"plan says repeats={data['repeats']} but lists {len(seeds)} seeds")
+    sizes = ("generations", "population_size", "archive_size")
     return ExperimentPlan(
         variants=variants,
         seeds=seeds,
-        generations=int(data.get("generations", ExperimentPlan.generations)),
-        population_size=int(data.get("population_size", ExperimentPlan.population_size)),
-        archive_size=int(data.get("archive_size", ExperimentPlan.archive_size)),
+        **{key: _plan_value(data.get(key, getattr(ExperimentPlan, key)), key) for key in sizes},
         scenario=data.get("scenario"),
         name=str(data.get("name", ExperimentPlan.name)),
         operators=data.get("operators"),
@@ -366,7 +372,7 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
 
     if not histories:
         raise RuntimeError(f"all {len(failures)} runs failed; first error: {failures[0]['error']}")
-    reference = reference_point(all_front_points(histories.values()))
+    reference = shared_reference(histories.values(), scenario)
 
     summary_rows: list[dict] = []
     metrics: dict = {
@@ -438,6 +444,13 @@ def objective_labels(scenario: Scenario) -> list[str]:
     ]
 
 
+def shared_reference(histories, scenario: Scenario) -> np.ndarray:
+    """reference_point over every run's arrivals, or zeros (every hypervolume 0) if there are none."""
+    if any(record.arrivals for history in histories for record in history.records):
+        return reference_point(all_front_points(histories))
+    return np.zeros(len(objective_labels(scenario)))
+
+
 def optimize_once(
     algorithm: str,
     config: EAConfig,
@@ -450,11 +463,7 @@ def optimize_once(
     history = run_single(algorithm, config, scenario)
     (out / "scenario.json").write_text(scenario_to_json(scenario))
     write_json(out / "config.json", {"algorithm": algorithm, **asdict(config)})
-    front = history.final_front()
-    if front:
-        reference = reference_point(all_front_points([history]))
-    else:
-        reference = np.zeros(2 + len(scenario.baseline.wave_heights))
+    reference = shared_reference([history], scenario)
     export_run(out, history, scenario, reference)
     write_json(out / "metrics.json", {
         "reference_point": reference,

@@ -39,6 +39,15 @@ class MetricsWarning(UserWarning):
     pass
 
 
+def at_most(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m[i, j]: a[i] <= b[j] in every objective, weak dominance on minimization vectors.
+
+    Two rows are equal when each is at most the other, so -0.0 equals 0.0;
+    a row with a NaN is at most nothing.
+    """
+    return np.all(a[:, None] <= b[None], axis=2)
+
+
 def dominance(points: np.ndarray) -> np.ndarray:
     """Pareto-dominance matrix on minimization vectors.
 
@@ -49,8 +58,8 @@ def dominance(points: np.ndarray) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if p.size == 0:
         return np.zeros((len(p), len(p)), dtype=bool)
-    at_most = np.all(p[:, None] <= p[None], axis=2)
-    return at_most & ~at_most.T
+    weak = at_most(p, p)
+    return weak & ~weak.T
 
 
 def _reduce(pts: list[Point]) -> list[Point]:
@@ -264,34 +273,28 @@ def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
     front is the nondominated set of every feasible point so far (an exact
     duplicate keeps its earliest copy), so a point that later drops off a
     front is dominated and never changes the value, and no earlier point
-    weakly dominates a point new to a front. Each new point strictly inside
-    the reference adds its exclusive volume against the previous record's
-    front and the points new before it in its record. The weakly dominated
-    points among those are dropped by _reduce after clipping, so the volume
-    is the one IncrementalHypervolume.add computes when it replays the new
-    points in order. The volumes are shared across CPUs (parallel.share)
-    and added in that order, which gives the same value to the last bit.
+    weakly dominates one of the record's arrivals. Each arrival strictly
+    inside the reference adds its exclusive volume against the previous
+    record's front and the arrivals before it in its record. The weakly
+    dominated points among those are dropped by _reduce after clipping, so
+    the volume is the one IncrementalHypervolume.add computes when it
+    replays the arrivals in order. The volumes are shared across CPUs
+    (parallel.share) and added in that order, which gives the same value to
+    the last bit.
     """
     ref = tuple(np.asarray(reference, dtype=float).tolist())
-    jobs: list[tuple[Point, list[Point]]] = []  # (new point, the points it meets)
-    fresh: list[int] = []  # per record: how many of its points are jobs
+
+    def inside(members) -> list[Point]:  # the members' points strictly inside ref
+        return [p for p in (tuple(ind.point.tolist()) for ind in members) if all(map(lt, p, ref))]
+
+    jobs: list[tuple[Point, list[Point]]] = []  # (arrival, the points it meets)
+    fresh: list[int] = []  # per record: how many of its arrivals are jobs
     previous: list[Point] = []  # the previous record's front, inside ref
-    previous_keys: set[bytes] = set()
     for record in history.records:
-        front: list[Point] = []
-        keys: set[bytes] = set()
-        new: list[Point] = []
-        for ind in record.front:
-            point = tuple(ind.point.tolist())
-            if all(map(lt, point, ref)):
-                key = ind.point.tobytes()
-                if key not in previous_keys:
-                    jobs.append((point, previous + new))
-                    new.append(point)
-                front.append(point)
-                keys.add(key)
+        new = inside(record.arrivals)
+        jobs.extend((point, previous + new[:i]) for i, point in enumerate(new))
         fresh.append(len(new))
-        previous, previous_keys = front, keys
+        previous = inside(record.front)
     exclusives = iter(share(lambda job: _exclusive(job[0], job[1], ref), jobs))
 
     out = []
@@ -312,7 +315,7 @@ def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
 
 
 def all_front_points(histories) -> np.ndarray:
-    """Stack every point that was ever on any run's cumulative front.
+    """Stack every point that was ever on any run's cumulative front, once: the arrivals.
 
     This is the set the shared reference point must bound so that
     per-generation hypervolumes are comparable across runs and generations.
@@ -321,7 +324,7 @@ def all_front_points(histories) -> np.ndarray:
         ind.point
         for history in histories
         for record in history.records
-        for ind in record.front
+        for ind in record.arrivals
     ]
     if not rows:
         raise ValueError("no feasible front points in any run")

@@ -13,6 +13,7 @@ wave_model=m) gives a scenario whose baseline comes from m.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -36,7 +37,6 @@ from .geometry import (
     total_blocks,
 )
 from .objectives import (
-    DEFAULT_VIOLATION_PENALTY,
     Baseline,
     ObjectiveVector,
     cost,
@@ -71,7 +71,6 @@ class InitRanges:
     max_length: float = 40.0           # cells, angular segment lengths
     angle_low: float = -90.0           # degrees, angular relative angles
     angle_high: float = 90.0
-    cartesian_bbox: tuple[float, float, float, float] | None = None  # x0, y0, x1, y1
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class Scenario:
     init: InitRanges = field(default_factory=InitRanges)
     gene_levels: GeneLevels | None = None
     nav_sampling_step: float = 0.25
-    violation_penalty: float = DEFAULT_VIOLATION_PENALTY
     source: dict | None = None
     wave_model: object = field(default_factory=ShadowDiffusionModel)
     existing_segments: list = field(init=False)  # geometry.segment_groups of the structures, flattened
@@ -197,13 +195,6 @@ class Scenario:
             out.append("initialization max_length must be positive")
         if not self.init.angle_low < self.init.angle_high:
             out.append("initialization angle range is empty")
-        if self.init.cartesian_bbox is not None:
-            if len(self.init.cartesian_bbox) != 4:
-                out.append("initialization cartesian_bbox must be [x0, y0, x1, y1]")
-            else:
-                x0, y0, x1, y1 = self.init.cartesian_bbox
-                if not (x0 < x1 and y0 < y1):
-                    out.append("initialization cartesian_bbox is degenerate")
         if self.gene_levels is not None:
             if len(self.gene_levels.lengths) == 0 or len(self.gene_levels.angles) == 0:
                 out.append("gene_levels must list at least one length and one angle")
@@ -256,7 +247,7 @@ class Scenario:
 
     def scalar(self, point: np.ndarray, violations: int) -> float:
         """Scalar fitness of a min_point: relative convolution plus constraint penalties."""
-        return single_objective(point, violations=violations, penalty=self.violation_penalty)
+        return single_objective(point, violations=violations)
 
     def snap(self, genotype: Genotype) -> Genotype:
         return self.gene_levels.snap(genotype) if self.gene_levels is not None else genotype
@@ -279,7 +270,8 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
     boundary = None
     try:
         bdata = data["boundary"]
-        boundary = BoundaryConditions(float(bdata["incident_height"]), float(bdata["wave_direction"]))
+        height, direction = (_json_number(bdata[key], key) for key in ("incident_height", "wave_direction"))
+        boundary = BoundaryConditions(height, direction)
     except (KeyError, TypeError) as exc:
         problems.append(f"boundary: missing or malformed ({exc})")
     except ValueError as exc:
@@ -322,17 +314,11 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         n_segments = _number(a.get("n_segments", 2), f"attachment {i} n_segments", problems, whole=True)
         attachments.append(Attachment(AttachmentPoint(x, y, base_angle), n_segments, material))
     init_data = _field(data, "initialization", dict, problems)
-    bbox = init_data.get("cartesian_bbox")
     max_length, angle_low, angle_high = (
         _number(init_data.get(key, getattr(InitRanges, key)), f"initialization {key}", problems)
         for key in ("max_length", "angle_low", "angle_high")
     )
-    init = InitRanges(
-        max_length=max_length,
-        angle_low=angle_low,
-        angle_high=angle_high,
-        cartesian_bbox=_numbers(bbox, "initialization cartesian_bbox", problems) if bbox else None,
-    )
+    init = InitRanges(max_length=max_length, angle_low=angle_low, angle_high=angle_high)
     levels = None
     if "gene_levels" in data:
         g = _field(data, "gene_levels", dict, problems)
@@ -340,10 +326,7 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
             lengths=_numbers(g.get("lengths", ()), "gene_levels lengths", problems),
             angles=_numbers(g.get("angles", ()), "gene_levels angles", problems),
         )
-    nav_sampling_step, violation_penalty = (
-        _number(data.get(key, getattr(Scenario, key)), key, problems)
-        for key in ("nav_sampling_step", "violation_penalty")
-    )
+    step = _number(data.get("nav_sampling_step", Scenario.nav_sampling_step), "nav_sampling_step", problems)
     passes = _number(
         data.get("diffusion_passes", DEFAULT_DIFFUSION_PASSES), "diffusion_passes", problems, whole=True
     )
@@ -364,8 +347,7 @@ def build_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         fairway=fairway,
         init=init,
         gene_levels=levels,
-        nav_sampling_step=nav_sampling_step,
-        violation_penalty=violation_penalty,
+        nav_sampling_step=step,
         source=data,
         wave_model=wave_model,
     )
@@ -380,41 +362,47 @@ def _field(data: dict, key: str, kind: type, problems: list[str]):
     return kind()
 
 
+def _json_number(value, what: str):
+    """value if it is an int or a float, not a bool; TypeError naming what otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _number(value, what: str, problems: list[str], whole: bool = False):
-    """value as a float, or as an int if whole; None and a problem naming what if it is not one."""
+    """value as a float, or as an int if whole; None and a problem naming what unless a finite number."""
     try:
-        number = float(value)
+        number = float(_json_number(value, what))
         if whole and not number.is_integer():
-            raise ValueError
-    except (TypeError, ValueError):
+            raise TypeError
+    except TypeError:
         problems.append(f"{what}: must be a {'whole ' if whole else ''}number, got {value!r}")
+        return None
+    if not math.isfinite(number):
+        problems.append(f"{what}: must be finite, got {value!r}")
         return None
     return int(number) if whole else number
 
 
 def _numbers(values, what: str, problems: list[str]) -> tuple[float, ...] | None:
-    """values as a tuple of floats; None and a problem naming what if it is not a list of numbers."""
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+    """values as a tuple of floats; None and a problem naming what unless a list of finite numbers."""
+    numbers = [_number(v, what, []) for v in values] if isinstance(values, (list, tuple)) else [None]
+    if None in numbers:
         problems.append(f"{what}: must be a list of numbers, got {values!r}")
         return None
+    return tuple(numbers)
 
 
 def _xy_array(value, what: str, problems: list[str]) -> np.ndarray:
-    """value as an (n, 2) float array; records a problem naming what unless it is finite (n, 2)."""
+    """value as an (n, 2) float array; (0, 2) and a problem naming what unless finite [x, y] pairs."""
     try:
-        xy = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{what}: must be a list of [x, y] pairs ({exc})")
+        xy = _numbers([c for x, y in value for c in (x, y)], what, [])
+    except (TypeError, ValueError):  # not a list of pairs
+        xy = None
+    if xy is None:
+        problems.append(f"{what}: must be a list of [x, y] pairs of finite numbers, got {value!r}")
         return np.empty((0, 2))
-    if xy.size == 0:
-        return xy.reshape(0, 2)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        problems.append(f"{what}: must be a list of [x, y] pairs, got shape {xy.shape}")
-    elif not np.isfinite(xy).all():
-        problems.append(f"{what}: coordinates must be finite")
-    return xy
+    return np.array(xy).reshape(-1, 2)
 
 
 def _parse_grid(gdata, base_dir: Path | None, problems: list[str]) -> ScenarioGrid | None:

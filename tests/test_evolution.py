@@ -711,7 +711,8 @@ def test_update_front_keeps_the_members_of_the_all_pairs_reference(data):
                 feasible.append(data.draw(st.booleans()))
         order = data.draw(st.permutations(range(len(points))))
         newcomers = [Individual(point=points[i], objectives=SimpleNamespace(feasible=feasible[i])) for i in order]
-        got = _update_front(front, newcomers)
+        kept, arrivals = _update_front(front, newcomers)
         expected = update_front_reference(front, newcomers)
-        assert [id(ind) for ind in got] == [id(ind) for ind in expected]
+        assert [id(ind) for ind in kept + arrivals] == [id(ind) for ind in expected]
+        assert [id(ind) for ind in arrivals] == [id(ind) for ind in expected if not any(ind is m for m in front)]
         front = expected

@@ -16,6 +16,7 @@ from bwopt.experiment import (
     ExperimentPlan,
     VariantSpec,
     load_plan,
+    optimize_once,
     plan_from_dict,
     plan_to_dict,
     resolve_scenario,
@@ -152,6 +153,27 @@ def test_plan_round_trip():
     plan = plan_from_dict(plan_dict(operators={"mutation_rate": 0.3}))
     again = plan_from_dict(plan_to_dict(plan))
     assert again == plan
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"variants": [{"algorithm": "spea2", "encoding": "angular", "greedy": "false"}]}, "greedy"),
+        ({"seeds": [1.9, "2"]}, "seeds"),
+        ({"generations": 2.7}, "generations"),
+        ({"population_size": "10"}, "population_size"),
+    ],
+    ids=["greedy", "seeds", "generations", "population_size"],
+)
+def test_plan_value_of_another_json_type_is_rejected_naming_its_key(tmp_path, capsys, overrides, key):
+    # each once became a value of the plan: greedy=True, seeds [1, 2], 2 generations, 10 individuals
+    with pytest.raises(ValueError, match=f"^plan {key} must be"):
+        plan_from_dict(plan_dict(**overrides))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan_dict(scenario="tiny_discrete", **overrides)))
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(tmp_path / "out")]) == 1
+    assert f"plan {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_default_seed_list_is_five_distinct():
@@ -319,6 +341,24 @@ def test_experiment_all_failed_raises(tmp_path, unit_scenario_module):
     scenario = FailingEncodingScenario(unit_scenario_module)
     with pytest.raises(RuntimeError, match="all 1 runs failed"):
         run_experiment(plan, scenario, tmp_path / "out")
+
+
+def test_runs_without_a_feasible_point_write_their_tree_at_hypervolume_zero(tmp_path, harbor_scenario):
+    # none of this variant's layouts is feasible on sochi_like with seed 5 (its 30x30 run neither)
+    plan = plan_from_dict(plan_dict(seeds=[5], generations=2, population_size=4, archive_size=4,
+                                    variants=[{"algorithm": "spea2", "encoding": "cartesian", "greedy": True}]))
+    result = run_experiment(plan, harbor_scenario, tmp_path / "experiment")
+    assert result.ok and result.summary_rows[0]["final_front_size"] == 0
+    run_dir = tmp_path / "experiment" / "spea2_cartesian_greedy" / "seed_5"
+    once = tmp_path / "once"
+    optimize_once("spea2", plan.config_for(plan.variants[0], 5), harbor_scenario, once)
+    for metrics in (tmp_path / "experiment" / "metrics.json", once / "metrics.json"):
+        assert json.loads(metrics.read_text())["reference_point"] == [0.0] * 5
+    assert result.summary_rows[0]["final_hypervolume"] == 0.0
+    for name in ("history.json", "snapshots.csv", "final_front.json", "final_front.csv"):
+        assert (run_dir / name).read_bytes() == (once / name).read_bytes()
+    hypervolumes = [line.split(",")[3] for line in (run_dir / "snapshots.csv").read_text().splitlines()[1:]]
+    assert hypervolumes == ["0.0", "0.0"]
 
 
 # ----- runs shared across CPUs -----

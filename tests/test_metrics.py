@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import mc_hypervolume, nondominated
 from bwopt import metrics, parallel
 from bwopt.evolution import EAConfig, GenerationRecord, Individual, _update_front, run_spea2
+from bwopt.experiment import run_single
+from bwopt.geometry import Encoding
 from bwopt.metrics import (
     FrontSnapshot,
     IncrementalHypervolume,
@@ -580,13 +582,38 @@ def test_run_snapshots_of_update_front_histories_are_an_incremental_replay_bit_f
             Individual(point=np.array(p), objectives=SimpleNamespace(feasible=feasible))
             for p, feasible in batch
         ]
-        front = _update_front(front, newcomers)
-        records.append(GenerationRecord(g, g + 1, newcomers, [], front, 0.0))
+        kept, arrivals = _update_front(front, newcomers)
+        front = kept + arrivals
+        records.append(GenerationRecord(g, g + 1, newcomers, [], front, arrivals, 0.0))
     history = SimpleNamespace(records=records)
     expected = [v.hex() for v in incremental_replay(history, reference)]
     for cpus in (1, 2, 3):
         with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
             assert [s.hypervolume.hex() for s in run_snapshots(history, reference)] == expected
+
+
+@pytest.mark.filterwarnings("ignore::bwopt.objectives.EvaluationWarning")  # tiny_discrete's +100 % cost
+def test_the_arrivals_hold_each_front_point_once_and_give_the_reference_over_every_front(
+    harbor_scenario, tiny_scenario
+):
+    for scenario in (harbor_scenario, tiny_scenario):
+        histories = [
+            run_single(algorithm, EAConfig(population_size=8, archive_size=8, generations=6,
+                                           encoding=encoding, greedy=greedy, seed=3), scenario)
+            for algorithm in ("spea2", "de")
+            for encoding in Encoding
+            for greedy in (False, True)
+        ]
+        for history in histories:
+            points = {ind.point.tobytes() for record in history.records for ind in record.front}
+            arrivals = [ind.point.tobytes() for record in history.records for ind in record.arrivals]
+            assert len(arrivals) == len(set(arrivals)) and set(arrivals) == points
+            for record in history.records:
+                tail = record.front[len(record.front) - len(record.arrivals):]
+                assert [id(ind) for ind in tail] == [id(ind) for ind in record.arrivals]
+        every = np.array([ind.point for h in histories for record in h.records for ind in record.front])
+        assert len(every) > len(all_front_points(histories))
+        assert reference_point(all_front_points(histories)).tobytes() == reference_point(every).tobytes()
 
 
 def test_all_front_points_rejects_empty():

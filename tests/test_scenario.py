@@ -212,7 +212,6 @@ MALFORMED = [  # (key path into tiny_discrete, bad value, the violation it must 
     (("materials",), [1], "materials: must be an object"),
     (("initialization", "max_length"), "long", "initialization max_length: must be a number"),
     (("nav_sampling_step",), "fine", "nav_sampling_step: must be a number"),
-    (("violation_penalty",), "huge", "violation_penalty: must be a number"),
     (("gene_levels", "lengths"), [0.0, "two"], "gene_levels lengths: must be a list of numbers"),
     (("boundary", "wave_direction"), float("nan"), "boundary: wave_direction must be finite"),
     (("diffusion_passes",), 1.5, "diffusion_passes: must be a whole number"),
@@ -222,13 +221,30 @@ MALFORMED = [  # (key path into tiny_discrete, bad value, the violation it must 
     (("grid", "depth"), [[1.0, 2.0], [3.0]], "grid depth: must be rows of numbers"),
     (("attachments",), 5, "attachments: must be a list"),
     (("existing_structures",), 7, "existing_structures: must be a list"),
-    (("initialization", "cartesian_bbox"), [0, 0, 9], "initialization cartesian_bbox must be [x0, y0, x1, y1]"),
+    # only finite JSON numbers: no quoted number, bool, NaN or infinity
+    (("diffusion_passes",), "2", "diffusion_passes: must be a whole number, got '2'"),
+    (("boundary", "incident_height"), "2.0", "boundary: missing or malformed (incident_height must be a number"),
+    (("boundary", "incident_height"), float("inf"), "boundary: incident_height must be positive and finite"),
+    (("control_points",), [["10", "11"]], "control_points: must be a list of [x, y] pairs of finite numbers"),
+    (("existing_structures", 0, "vertices"), [[6, 13], [True, 10]], "existing structure 0 vertices: must be"),
+    (("materials", "solid_wall"), False, "materials solid_wall: must be a number, got False"),
+    (("attachments", 0, "n_segments"), True, "attachment 0 n_segments: must be a whole number, got True"),
+    (("attachments", 0, "base_angle"), float("nan"), "attachment 0 base_angle: must be finite"),
+    (("attachments", 0, "base_angle"), float("inf"), "attachment 0 base_angle: must be finite"),
+    (("attachments", 0, "x"), float("nan"), "attachment 0 x: must be finite, got nan"),
+    (("initialization", "max_length"), float("-inf"), "initialization max_length: must be finite"),
+    (("gene_levels", "angles"), [0.0, float("nan")], "gene_levels angles: must be a list of numbers"),
+    (("gene_levels", "lengths"), "02", "gene_levels lengths: must be a list of numbers"),
 ]
 
 
-@pytest.mark.parametrize(
-    "path, value, violation", MALFORMED, ids=[v.split(":")[0] for _, _, v in MALFORMED]
-)
+def row_ids(rows):
+    """Each row's id is its violation up to the colon; a later row with the same id adds its value."""
+    ids = [violation.split(":")[0] for _, _, violation in rows]
+    return [i if i not in ids[:n] else f"{i} {value!r}" for n, (i, (_, value, _)) in enumerate(zip(ids, rows))]
+
+
+@pytest.mark.parametrize("path, value, violation", MALFORMED, ids=row_ids(MALFORMED))
 def test_malformed_field_is_a_scenario_error_naming_it(tmp_path, capsys, path, value, violation):
     data = tiny_with(path, value)
     with pytest.raises(ScenarioError) as exc:
