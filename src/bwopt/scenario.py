@@ -414,7 +414,10 @@ def _parse_grid(gdata, base_dir: Path | None, problems: list[str]) -> ScenarioGr
         return None
     if "depth" in gdata:
         try:
-            depth = np.asarray(gdata["depth"], dtype=float)
+            rows = gdata["depth"]
+            if not all(type(cell) in (int, float) for row in rows for cell in row):  # no bool or str
+                raise TypeError("a cell is not a number")
+            depth = np.asarray(rows, dtype=float)
         except (TypeError, ValueError) as exc:
             problems.append(f"grid depth: must be rows of numbers ({exc})")
             return None
@@ -427,8 +430,14 @@ def _parse_grid(gdata, base_dir: Path | None, problems: list[str]) -> ScenarioGr
         except OSError as exc:
             problems.append(f"grid: cannot read depth_file ({exc})")
             return None
+        except ValueError as exc:
+            problems.append(f"grid depth: depth_file must hold rows of numbers ({exc})")
+            return None
     else:
         problems.append("grid: needs 'depth' or 'depth_file'")
+        return None
+    if not np.isfinite(depth).all():
+        problems.append("grid depth: every cell must be finite")
         return None
     try:
         return ScenarioGrid(depth, cell_size)

@@ -19,7 +19,8 @@ The kernel takes one coefficient grid or a stack of them, one per column
 (a generation's feasible layouts), read only at the cells the box's rays
 reach (cells_read). It folds gathered blocks of rows, each product down a
 ray and each neighbor sum in its own order; its temporaries stay near
-GATHER_VALUES values, and a wider stack takes more, smaller blocks.
+GATHER_VALUES values, and a wider stack takes more, smaller blocks (on
+sochi_like's control-point box, 4 blocks for one grid, 14 for 24).
 Bilinear sampling runs vectorized over the points and the stack.
 
 A wave model has two methods. Evaluation calls layout_heights(scenario,
@@ -49,7 +50,7 @@ DEFAULT_DIFFUSION_PASSES = 3
 
 STDERR_TAIL_CHARS = 2000  # how much of a failing solver's stderr an error quotes
 BAND_CELLS = 2048  # cells per box of full-grid simulate, which bounds its gather table
-GATHER_VALUES = 8192  # values per gathered block of the kernel, which bounds its temporaries
+GATHER_VALUES = 32768  # values per gathered block of the kernel, which bounds its temporaries
 
 _NEIGHBOR_SHIFTS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
 
@@ -252,7 +253,8 @@ def _shadow_diffuse(coefficients: np.ndarray, box: _Box, incident_height: float,
     Both stages fold over gathered rows (_fold), so the temporaries stay
     near GATHER_VALUES values whatever B. A block holds GATHER_VALUES //
     (n * B) rows, at least one: on a 225-cell box with 44 ray rows and 3
-    passes, one grid takes 5 blocks and a stack of 24 takes 68 (44 + 3 x 8).
+    passes, one grid takes 4 blocks (1 + 3 x 1) and a stack of 24 takes 14
+    (8 + 3 x 2).
     """
     n, tail = box.rays.shape[1], coefficients.shape[1:]
     field = np.empty((n + 1,) + tail)

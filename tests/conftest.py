@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
 
+from bwopt.evolution import (
+    EAConfig,
+    Individual,
+    RunHistory,
+    _check_mask,
+    _de_trial,
+    _evaluate,
+    _mask,
+    _record,
+    init_population,
+)
 from bwopt.experiment import resolve_scenario
 from bwopt.geometry import sample_polyline
 from bwopt.metrics import dominance
@@ -154,3 +165,42 @@ def evaluate_each(evaluate, genotypes) -> list:
         except Exception as exc:
             raise CandidateError(i) from exc
     return out
+
+
+def run_de_one_at_a_time(config: EAConfig, scenario) -> RunHistory:
+    """DE with each trial built, evaluated and selected before the next: the reference for run_de.
+
+    The loop evolution.run_de replaced, which evaluated every trial as a
+    batch of one because the tie draw falls between trials.
+    """
+    if config.population_size < 4:
+        raise ValueError(
+            f"DE needs a population_size of at least 4, got {config.population_size}: "
+            "rand/1 needs 3 distinct partners besides the target"
+        )
+    rng = np.random.default_rng(config.seed)
+    history = RunHistory(algorithm="de", config=config)
+    genotypes = init_population(config, scenario, rng)
+    population = _evaluate(genotypes, scenario, 0)
+    for ind in population:
+        ind.fitness = scenario.scalar(ind.point, ind.objectives.violations)
+    _record(history, population, [], [ind.fitness for ind in population])
+    for gen in range(1, max(1, config.generations)):
+        mask = _mask(config, scenario.n_blocks, gen)
+        survivors: list[Individual] = []
+        for i, target in enumerate(population):
+            trial_genotype = _de_trial(population, i, mask, config, scenario, rng)
+            if mask is not None:
+                _check_mask(history, trial_genotype, target.genotype, mask)
+            # one at a time: the tie draw below falls between trials
+            trial = _evaluate([trial_genotype], scenario, gen, i)[0]
+            trial.fitness = scenario.scalar(trial.point, trial.objectives.violations)
+            if trial.fitness < target.fitness:
+                survivors.append(trial)
+            elif trial.fitness == target.fitness and rng.random() < 0.5:
+                survivors.append(trial)
+            else:
+                survivors.append(target)
+        population = survivors
+        _record(history, population, [], [ind.fitness for ind in population])
+    return history

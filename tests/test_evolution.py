@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate_each, nondominated
+import conftest
+from conftest import evaluate_each, nondominated, run_de_one_at_a_time
 
 from bwopt import evolution
 from bwopt.evolution import (
@@ -447,6 +448,27 @@ def test_generations_per_segment_below_one_is_rejected(dwell):
         EAConfig(greedy=True, generations_per_segment=dwell)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("mutation_rate", "0.5", "mutation_rate must be a finite number, got '0.5'"),
+        ("crossover_rate", True, "crossover_rate must be a finite number, got True"),
+        ("de_weight", float("nan"), "de_weight must be a finite number, got nan"),
+        ("sigma_angle", float("inf"), "sigma_angle must be a finite number, got inf"),
+        ("init_retries", 50.0, "init_retries must be an integer, got 50.0"),
+        ("seed", "1", "seed must be an integer, got '1'"),
+        ("population_size", False, "population_size must be an integer, got False"),
+    ],
+    ids=["string", "bool", "nan", "inf", "float_count", "string_seed", "bool_count"],
+)
+def test_ea_config_rejects_a_numeric_field_that_is_no_finite_json_number(key, value, message):
+    # each once built a config whose runs failed or drifted: "0.5" < 0.25 raises in mutate
+    with pytest.raises(ValueError, match=f"^EAConfig {message}$"):
+        EAConfig(**{key: value})
+    # a NumPy scalar of the right kind passes
+    EAConfig(**{key: np.float64(0.5) if isinstance(getattr(EAConfig, key), float) else np.int64(2)})
+
+
 # ----- full loops -----
 
 def small_config(**kw):
@@ -588,6 +610,116 @@ def test_de_trial_masked_touches_active_block_only(unit_scenario):
     assert not np.array_equal(trial.genes[2:4], target[2:4])
 
 
+def assert_same_runs(history, reference):
+    """Record by record: genes, points and fitness of population, front and arrivals; greedy checks."""
+    assert (history.greedy_checks, history.greedy_violations) == (reference.greedy_checks, reference.greedy_violations)
+    assert len(history.records) == len(reference.records)
+    for record, expected in zip(history.records, reference.records):
+        assert (record.generation, record.model_runs) == (expected.generation, expected.model_runs)
+        assert record.best_scalar == expected.best_scalar
+        for key in ("population", "front", "arrivals"):
+            members, others = getattr(record, key), getattr(expected, key)
+            assert len(members) == len(others), key
+            for ind, other in zip(members, others):
+                assert ind.genotype.genes.tobytes() == other.genotype.genes.tobytes(), key
+                assert ind.point.tobytes() == other.point.tobytes(), key
+                assert ind.fitness == other.fitness, key
+
+
+def record_batches(monkeypatch, scenario) -> list[list]:
+    """The genotypes of every later scenario.evaluate_many call, one list per call."""
+    batches = []
+    evaluate_many = type(scenario).evaluate_many
+
+    def recording(self, genotypes):
+        batches.append(list(genotypes))
+        return evaluate_many(self, genotypes)
+
+    monkeypatch.setattr(type(scenario), "evaluate_many", recording)
+    return batches
+
+
+@pytest.mark.filterwarnings("ignore::bwopt.objectives.EvaluationWarning")  # tiny_discrete's +100 % cost
+@pytest.mark.parametrize(
+    "scenario_name, greedy, seed",
+    [("harbor_scenario", True, 1000), ("tiny_scenario", False, 1)],
+    ids=["sochi_like_angular_greedy_1000", "tiny_discrete_angular_1"],
+)
+def test_de_batches_keep_the_one_at_a_time_trajectory(request, monkeypatch, scenario_name, greedy, seed):
+    # sochi_like angular greedy at EA seed 1000 ties 5 times where the trial differs from its
+    # target; tiny_discrete's gene levels make most of its ties trials equal to their targets
+    scenario = request.getfixturevalue(scenario_name)
+    config = EAConfig(encoding=Encoding.ANGULAR, greedy=greedy, seed=seed)
+    reference = run_de_one_at_a_time(config, scenario)
+    batches = record_batches(monkeypatch, scenario)
+    history = run_de(config, scenario)
+    assert_same_runs(history, reference)
+    assert history.records[-1].model_runs == 900
+    assert len(batches) > 30  # some tie re-batched the trials after it
+
+
+def test_de_evaluates_a_generation_as_one_batch_and_rebatches_after_an_unforeseen_tie(
+    unit_scenario, monkeypatch
+):
+    config = small_config()  # 8 individuals, 6 generations
+    batches = record_batches(monkeypatch, unit_scenario)
+    plain = run_de(config, unit_scenario)
+    plain_batches = list(batches)
+    assert [len(b) for b in batches] == [8] * 6  # no tie: a generation is one batch
+    assert_same_runs(plain, run_de_one_at_a_time(config, unit_scenario))
+
+    # a sure tie: the fourth trial built (generation 1, individual 3) is a copy of its target
+    def with_sure_tie():
+        calls = []
+
+        def trial(population, i, *args):
+            built = _de_trial(population, i, *args)  # its draws stay in the stream
+            calls.append(i)
+            return population[i].genotype.copy() if len(calls) == 4 else built
+
+        return trial
+
+    monkeypatch.setattr(evolution, "_de_trial", with_sure_tie())
+    batches.clear()
+    history = run_de(config, unit_scenario)
+    assert [len(b) for b in batches] == [8] * 6  # its coin is drawn when it is built: no extra batch
+    assert np.array_equal(batches[1][3].genes, plain.records[0].population[3].genotype.genes)
+    monkeypatch.setattr(conftest, "_de_trial", with_sure_tie())
+    assert_same_runs(history, run_de_one_at_a_time(config, unit_scenario))
+    monkeypatch.undo()
+
+    # an unforeseen tie: generation 1's trial 5 scores as its target, with other genes
+    trial, target = plain_batches[1][5], plain.records[0].population[5]
+    assert not np.array_equal(trial.genes, target.genotype.genes)
+    tied = unit_scenario.min_point(unit_scenario.evaluate_many([trial])[0]).tobytes()
+    scalar = type(unit_scenario).scalar
+
+    def tying(self, point, violations):
+        return target.fitness if point.tobytes() == tied else scalar(self, point, violations)
+
+    monkeypatch.setattr(type(unit_scenario), "scalar", tying)
+    batches = record_batches(monkeypatch, unit_scenario)
+    history = run_de(config, unit_scenario)
+    assert [len(b) for b in batches] == [8, 8, 2, 8, 8, 8, 8]  # trials 6 and 7 of generation 1 again
+    assert_same_runs(history, run_de_one_at_a_time(config, unit_scenario))
+    assert history.records[-1].model_runs == 48
+
+
+def test_de_shared_stage_failure_names_the_whole_generation(unit_scenario, monkeypatch):
+    heights = type(unit_scenario.wave_model).heights
+    calls = []
+
+    def failing_after_generation_0(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise FloatingPointError("shared stage")
+        return heights(*args)
+
+    monkeypatch.setattr(type(unit_scenario.wave_model), "heights", failing_after_generation_0)
+    with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 1, individuals 0 to 7$"):
+        run_de(small_config(), unit_scenario)
+
+
 # ----- cost-only surrogate -----
 
 class CostOnlyScenario:
@@ -663,9 +795,9 @@ def test_batch_failure_names_the_generation_and_the_failing_individual(unit_scen
     bad.genes[0] = np.nan  # a NaN vertex cannot be rasterized
     with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 4, individual 2$"):
         evolution._evaluate([good[0], good[1], bad, good[2]], unit_scenario, 4)
-    # a DE trial is a batch of one that names its own index
+    # a batch that starts at individual 5 counts from there
     with pytest.raises(RuntimeError, match=r"^evaluation failed at generation 5, individual 7$"):
-        evolution._evaluate([bad], unit_scenario, 5, 7)
+        evolution._evaluate([good[0], good[1], bad], unit_scenario, 5, 5)
     # a failure in a stage the whole batch shares names the whole batch
 
     def failing_heights(*args):

@@ -176,6 +176,26 @@ def test_plan_value_of_another_json_type_is_rejected_naming_its_key(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "operators, message",
+    [
+        ({"mutation_rate": "0.5"}, "EAConfig mutation_rate must be a finite number, got '0.5'"),
+        ({"crossover_rate": True}, "EAConfig crossover_rate must be a finite number, got True"),
+        ({"de_weight": float("nan")}, "EAConfig de_weight must be a finite number, got nan"),
+    ],
+    ids=["string", "bool", "nan"],
+)
+def test_plan_operator_value_that_is_no_finite_number_is_rejected_before_any_run(tmp_path, capsys, operators, message):
+    # the plan once loaded, wrote plan.json, and every run failed in mutate (exit 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        plan_from_dict(plan_dict(operators=operators))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan_dict(scenario="tiny_discrete", operators=operators)))
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_seed_list_is_five_distinct():
     assert len(DEFAULT_SEEDS) == 5
     assert len(set(DEFAULT_SEEDS)) == 5

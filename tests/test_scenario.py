@@ -235,6 +235,10 @@ MALFORMED = [  # (key path into tiny_discrete, bad value, the violation it must 
     (("initialization", "max_length"), float("-inf"), "initialization max_length: must be finite"),
     (("gene_levels", "angles"), [0.0, float("nan")], "gene_levels angles: must be a list of numbers"),
     (("gene_levels", "lengths"), "02", "gene_levels lengths: must be a list of numbers"),
+    (("grid", "depth", 0, 0), "5.0", "grid depth: must be rows of numbers"),
+    (("grid", "depth", 0, 0), True, "grid depth: must be rows of numbers"),
+    (("grid", "depth", 3, 2), float("nan"), "grid depth: every cell must be finite"),
+    (("grid", "depth", 3, 2), float("-inf"), "grid depth: every cell must be finite"),
 ]
 
 
@@ -314,6 +318,23 @@ def test_load_scenario_with_depth_file(tmp_path):
     scenario = load_scenario(tmp_path / "scn.json")
     assert scenario.grid.n_rows == 6 and scenario.grid.n_cols == 8
     assert scenario.grid.land_mask[5].all()
+
+
+@pytest.mark.parametrize(
+    "cell, violation",
+    [("nan", "grid depth: every cell must be finite"), ("deep", "grid depth: depth_file must hold rows of numbers")],
+)
+def test_depth_file_cells_must_be_finite_numbers(tmp_path, cell, violation):
+    # np.loadtxt reads nan as a number (a water cell) and raises ValueError on a word
+    rows = [" ".join(["5.0"] * 8)] * 5 + [" ".join(["-1.0"] * 8)]
+    rows[2] = " ".join(["5.0"] * 7 + [cell])
+    (tmp_path / "depth.txt").write_text("\n".join(rows) + "\n")
+    data = scenario_dict()
+    data["grid"] = {"cell_size": 10.0, "depth_file": "depth.txt"}
+    (tmp_path / "scn.json").write_text(json.dumps(data))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(tmp_path / "scn.json")
+    assert any(v.startswith(violation) for v in exc.value.violations), exc.value.violations
 
 
 def test_load_scenario_missing_depth_file(tmp_path):

@@ -399,9 +399,10 @@ def test_heights_are_bit_identical_to_the_dense_kernel():
     assert border["touches"] > 0 and border["inside"] > 0, border
 
 
-@pytest.mark.parametrize("gather", [wave.GATHER_VALUES, 1, 97])
+@pytest.mark.parametrize("gather", [wave.GATHER_VALUES, 8192, 1, 97])
 def test_stacked_heights_match_each_grid_sampled_from_the_dense_kernel(gather, monkeypatch):
-    # every block size folds the same products and sums: 1 gathers one row per block
+    # every block size folds the same products and sums: 1 gathers one row per block, and
+    # 8192 was GATHER_VALUES before it was raised to 32768 with the same bits
     monkeypatch.setattr(wave, "GATHER_VALUES", gather)
     rng = np.random.default_rng(59)
     stacks = 0
