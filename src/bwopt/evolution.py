@@ -63,6 +63,9 @@ class EAConfig:
                 isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
             ):
                 raise ValueError(f"EAConfig {f.name} must be a finite number, got {value!r}")
+        for name in ("sigma_length", "sigma_angle", "sigma_cartesian"):  # mutate's normal scales
+            if getattr(self, name) < 0:
+                raise ValueError(f"EAConfig {name} must be at least 0, got {getattr(self, name)!r}")
         if self.generations_per_segment < 1:
             raise ValueError(
                 f"generations_per_segment must be at least 1, got {self.generations_per_segment}"

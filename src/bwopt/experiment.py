@@ -304,19 +304,12 @@ def write_snapshots(path: Path, snapshots: list[FrontSnapshot]) -> None:
     write_csv(path, [f.name for f in fields(FrontSnapshot)], [astuple(s) for s in snapshots])
 
 
-def export_run(
-    dir_path: Path,
-    history: RunHistory,
-    scenario: Scenario,
-    reference: np.ndarray,
-) -> list[FrontSnapshot]:
+def export_run(dir_path: Path, history: RunHistory, scenario: Scenario) -> None:
+    """Write the run's files that need no reference: history.json and final_front.*."""
     dir_path.mkdir(parents=True, exist_ok=True)
     write_json(dir_path / "history.json", history_to_dict(history))
-    snapshots = run_snapshots(history, reference)
-    write_snapshots(dir_path / "snapshots.csv", snapshots)
     meta = run_meta(scenario, history.algorithm, history.config)
     write_front(dir_path, history.final_front(), scenario, meta)
-    return snapshots
 
 
 # ----- experiment driver --------------------------------------------------------
@@ -345,7 +338,11 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
     """Execute the plan matrix and persist all results under out_dir.
 
     The (variant, seed) runs are independent, so they are shared across CPUs
-    (parallel.share); the export that follows is serial and in plan order.
+    (parallel.share), and each participant writes the files of its own runs
+    that need no reference (export_run) as soon as a run returns. The parent
+    then takes the shared reference over every run, computes every run's
+    snapshots in one run_snapshots call and writes each snapshots.csv and
+    the per-variant and top-level files in plan order.
     A failed run is recorded and the remaining runs continue; the caller can
     check ExperimentResult.ok for the exit status.
     """
@@ -357,9 +354,11 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
     def attempt(task: tuple[VariantSpec, int]) -> tuple[RunHistory | None, str | None]:
         variant, seed = task
         try:
-            return run_single(variant.algorithm, plan.config_for(variant, seed), scenario), None
+            history = run_single(variant.algorithm, plan.config_for(variant, seed), scenario)
         except Exception as exc:  # record and keep going
             return None, str(exc)
+        export_run(out / variant.name / f"seed_{seed}", history, scenario)
+        return history, None
 
     tasks = [(variant, seed) for variant in plan.variants for seed in plan.seeds]
     histories: dict[tuple[str, int], RunHistory] = {}
@@ -373,6 +372,7 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
     if not histories:
         raise RuntimeError(f"all {len(failures)} runs failed; first error: {failures[0]['error']}")
     reference = shared_reference(histories.values(), scenario)
+    snapshots_of = dict(zip(histories, run_snapshots(list(histories.values()), reference)))
 
     summary_rows: list[dict] = []
     metrics: dict = {
@@ -390,7 +390,8 @@ def run_experiment(plan: ExperimentPlan, scenario: Scenario, out_dir: str | Path
             history = histories.get((variant.name, seed))
             if history is None:
                 continue
-            snapshots = export_run(variant_dir / f"seed_{seed}", history, scenario, reference)
+            snapshots = snapshots_of[(variant.name, seed)]
+            write_snapshots(variant_dir / f"seed_{seed}" / "snapshots.csv", snapshots)
             snapshot_lists.append(snapshots)
             final = snapshots[-1]
             finals[str(seed)] = final.hypervolume
@@ -463,8 +464,9 @@ def optimize_once(
     history = run_single(algorithm, config, scenario)
     (out / "scenario.json").write_text(scenario_to_json(scenario))
     write_json(out / "config.json", {"algorithm": algorithm, **asdict(config)})
+    export_run(out, history, scenario)
     reference = shared_reference([history], scenario)
-    export_run(out, history, scenario, reference)
+    write_snapshots(out / "snapshots.csv", run_snapshots([history], reference)[0])
     write_json(out / "metrics.json", {
         "reference_point": reference,
         "objective_labels": objective_labels(scenario),

@@ -11,11 +11,15 @@ space).
 The hypervolume kernel (_reduce, _hv, _exclusive, the sweeps and
 IncrementalHypervolume) runs on lists of plain-float tuples, not arrays: a
 5-D convergence series makes about 10^4 recursive calls, most on a few
-points, where NumPy's per-call overhead costs more than the arithmetic.
-Every box product multiplies the coordinates left to right, and every sum
-adds the points in _reduce's sorted order. Float addition is not
-associative, so this fixed order is what makes each value, and every
-exported file that carries one, the same bit for bit on every run.
+points, where NumPy's per-call overhead costs more than the arithmetic. The
+one exception is the top level of each of run_snapshots' exclusive volumes,
+where a whole previous front (about a hundred points) is clipped into the
+arrival's box and reduced to about ten: _clip_reduce does that on arrays,
+with the same rows and bits as _reduce. Every box product multiplies the
+coordinates left to right, and every sum adds the points in _reduce's
+sorted order. Float addition is not associative, so this fixed order is
+what makes each value, and every exported file that carries one, the same
+bit for bit on every run.
 """
 from __future__ import annotations
 
@@ -147,6 +151,25 @@ def _exclusive(point: Point, others: list[Point], ref: Point) -> float:
     return exclusive
 
 
+def _clip_reduce(point: np.ndarray, others: np.ndarray) -> list[Point]:
+    """_reduce([tuple(map(max, q, point)) for q in others]) on arrays: the same rows, order and bits.
+
+    np.where(point > q, point, q) is the value builtin max(q, point) picks,
+    signed zeros included. The stable lexsort on the columns (the last one
+    primary) is _reduce's sort. A row is kept when no earlier kept row is <=
+    in every coordinate, which by transitivity is when no earlier row is.
+    others must be non-empty and free of NaN.
+    """
+    clipped = np.where(point > others, point, others)
+    rest = clipped[np.lexsort(clipped.T)]
+    kept = []
+    while len(rest):
+        top, rest = rest[0], rest[1:]
+        kept.append(top)
+        rest = rest[(rest < top).any(axis=1)]
+    return list(map(tuple, np.array(kept).tolist()))
+
+
 def _hv_3d(pts: list[Point], ref: Point) -> float:
     """Sweep reduced input, already ascending in z, keeping a 2-D staircase.
 
@@ -266,52 +289,74 @@ class FrontSnapshot:
     best_scalar: float
 
 
-def run_snapshots(history, reference: np.ndarray) -> list[FrontSnapshot]:
-    """Per-generation hypervolume of a run's cumulative feasible front.
+def run_snapshots(histories, reference: np.ndarray) -> list[list[FrontSnapshot]]:
+    """Per-generation hypervolume of each run's cumulative feasible front, one list per history.
 
-    Computed incrementally from the fronts the run recorded: each record's
+    Computed incrementally from the fronts each run recorded: each record's
     front is the nondominated set of every feasible point so far (an exact
     duplicate keeps its earliest copy), so a point that later drops off a
     front is dominated and never changes the value, and no earlier point
     weakly dominates one of the record's arrivals. Each arrival strictly
     inside the reference adds its exclusive volume against the previous
     record's front and the arrivals before it in its record. The weakly
-    dominated points among those are dropped by _reduce after clipping, so
-    the volume is the one IncrementalHypervolume.add computes when it
-    replays the arrivals in order. The volumes are shared across CPUs
-    (parallel.share) and added in that order, which gives the same value to
-    the last bit.
+    dominated points among those are dropped after clipping, so the volume
+    is the one IncrementalHypervolume.add computes when it replays the
+    arrivals in order.
+
+    Per record, the previous front's points inside the reference and then
+    the record's arrivals inside it are stacked into one array; an arrival's
+    job names that array, the arrival and its row, and meets the rows above
+    it. Its top level is clipped and reduced on the array (_clip_reduce),
+    everything below on tuples. One parallel.share computes every run's
+    jobs, in run order and then arrival order, and each run adds its own
+    volumes in arrival order, which gives the same value to the last bit as
+    one run alone on one CPU.
     """
-    ref = tuple(np.asarray(reference, dtype=float).tolist())
+    bound = np.asarray(reference, dtype=float)
+    ref = tuple(bound.tolist())
 
-    def inside(members) -> list[Point]:  # the members' points strictly inside ref
-        return [p for p in (tuple(ind.point.tolist()) for ind in members) if all(map(lt, p, ref))]
+    def inside(members) -> np.ndarray:  # the members' points strictly inside ref
+        points = np.array([ind.point for ind in members], dtype=float).reshape(-1, len(ref))
+        return points[(points < bound).all(axis=1)]
 
-    jobs: list[tuple[Point, list[Point]]] = []  # (arrival, the points it meets)
-    fresh: list[int] = []  # per record: how many of its arrivals are jobs
-    previous: list[Point] = []  # the previous record's front, inside ref
-    for record in history.records:
-        new = inside(record.arrivals)
-        jobs.extend((point, previous + new[:i]) for i, point in enumerate(new))
-        fresh.append(len(new))
-        previous = inside(record.front)
-    exclusives = iter(share(lambda job: _exclusive(job[0], job[1], ref), jobs))
+    jobs: list[tuple[np.ndarray, Point, int]] = []  # (rows, arrival, its row)
+    fresh: list[list[int]] = []  # per history and record: how many of its arrivals are jobs
+    for history in histories:
+        fresh.append([])
+        previous = inside([])  # the previous record's front, inside ref
+        for record in history.records:
+            new = inside(record.arrivals)
+            rows = np.concatenate([previous, new])
+            jobs.extend((rows, point, len(previous) + i) for i, point in enumerate(map(tuple, new.tolist())))
+            fresh[-1].append(len(new))
+            previous = inside(record.front)
+    exclusives = iter(share(lambda job: _job_exclusive(*job, ref), jobs))
 
     out = []
-    value = 0.0
-    for record, n in zip(history.records, fresh):
-        for e in islice(exclusives, n):
-            value += max(e, 0.0)
-        out.append(
-            FrontSnapshot(
-                generation=record.generation,
-                model_runs=record.model_runs,
-                front_size=len(record.front),
-                hypervolume=value,
-                best_scalar=record.best_scalar,
+    for history, counts in zip(histories, fresh):
+        value = 0.0
+        snapshots = []
+        for record, n in zip(history.records, counts):
+            for e in islice(exclusives, n):
+                value += max(e, 0.0)
+            snapshots.append(
+                FrontSnapshot(
+                    generation=record.generation,
+                    model_runs=record.model_runs,
+                    front_size=len(record.front),
+                    hypervolume=value,
+                    best_scalar=record.best_scalar,
+                )
             )
-        )
+        out.append(snapshots)
     return out
+
+
+def _job_exclusive(rows: np.ndarray, point: Point, row: int, ref: Point) -> float:
+    """_exclusive(point, rows[:row] as tuples, ref), its top level clipped and reduced on the array."""
+    if row <= 1:
+        return _exclusive(point, list(map(tuple, rows[:row].tolist())), ref)
+    return math.prod(map(sub, ref, point)) - _hv(_clip_reduce(rows[row], rows[:row]), ref)
 
 
 def all_front_points(histories) -> np.ndarray:

@@ -251,7 +251,7 @@ def test_criterion_07_protocol_run(comparison_runs):
     history = comparison_runs["histories"][key]
     duration = comparison_runs["durations"][key]
     model_runs = history.records[-1].model_runs
-    snapshots = run_snapshots(history, comparison_runs["reference"])
+    (snapshots,) = run_snapshots([history], comparison_runs["reference"])
     values = [s.hypervolume for s in snapshots]
     monotone = all(b >= a for a, b in zip(values, values[1:]))
     check(

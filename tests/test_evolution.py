@@ -469,6 +469,14 @@ def test_ea_config_rejects_a_numeric_field_that_is_no_finite_json_number(key, va
     EAConfig(**{key: np.float64(0.5) if isinstance(getattr(EAConfig, key), float) else np.int64(2)})
 
 
+@pytest.mark.parametrize("key", ["sigma_length", "sigma_angle", "sigma_cartesian"])
+def test_ea_config_rejects_a_negative_mutation_width(key):
+    # each once built a config whose every SPEA2 run failed in mutate (scale < 0)
+    with pytest.raises(ValueError, match=f"^EAConfig {key} must be at least 0, got -2.0$"):
+        EAConfig(**{key: -2.0})
+    EAConfig(**{key: 0.0})  # a zero width leaves the genes as they are
+
+
 # ----- full loops -----
 
 def small_config(**kw):

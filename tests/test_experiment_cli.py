@@ -196,6 +196,16 @@ def test_plan_operator_value_that_is_no_finite_number_is_rejected_before_any_run
     assert not (tmp_path / "out").exists()
 
 
+def test_plan_with_a_negative_sigma_is_rejected_before_any_run(tmp_path, capsys):
+    # the plan once loaded, wrote plan.json, and every SPEA2 run failed in mutate (exit 2)
+    message = "EAConfig sigma_length must be at least 0, got -2.0"
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan_dict(scenario="tiny_discrete", operators={"sigma_length": -2.0})))
+    assert main(["experiment", "--plan", str(plan_path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_seed_list_is_five_distinct():
     assert len(DEFAULT_SEEDS) == 5
     assert len(set(DEFAULT_SEEDS)) == 5

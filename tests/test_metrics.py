@@ -524,7 +524,7 @@ def test_reduce_to_2d_single_control_point_passthrough():
 def test_run_snapshots_cumulative_and_non_decreasing(unit_scenario):
     history = run_spea2(EAConfig(population_size=10, generations=8, seed=2), unit_scenario)
     reference = reference_point(all_front_points([history]))
-    snaps = run_snapshots(history, reference)
+    (snaps,) = run_snapshots([history], reference)
     assert [s.generation for s in snaps] == list(range(8))
     assert [s.model_runs for s in snaps] == [10 * (g + 1) for g in range(8)]
     values = [s.hypervolume for s in snaps]
@@ -556,8 +556,23 @@ def test_run_snapshots_equal_a_plain_incremental_replay(harbor_scenario, monkeyp
     history = run_spea2(EAConfig(population_size=12, generations=6, seed=4), harbor_scenario)
     reference = reference_point(all_front_points([history]))
     expected = incremental_replay(history, reference)
-    assert [s.hypervolume for s in run_snapshots(history, reference)] == expected
+    (snaps,) = run_snapshots([history], reference)
+    assert [s.hypervolume for s in snaps] == expected
     assert len(reference) == 5 and expected[-1] > 0.0
+
+
+def update_front_history(batches):
+    """A record per batch of (point, feasible) pairs, its front and arrivals from _update_front."""
+    front, records = [], []
+    for g, batch in enumerate(batches):
+        newcomers = [
+            Individual(point=np.array(p), objectives=SimpleNamespace(feasible=feasible))
+            for p, feasible in batch
+        ]
+        kept, arrivals = _update_front(front, newcomers)
+        front = kept + arrivals
+        records.append(GenerationRecord(g, g + 1, newcomers, [], front, arrivals, 0.0))
+    return SimpleNamespace(records=records)
 
 
 # coordinates with exact ties, both signed zeros and points past a 0.6 reference
@@ -568,28 +583,50 @@ coordinate = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1
 @given(st.data())
 def test_run_snapshots_of_update_front_histories_are_an_incremental_replay_bit_for_bit(data):
     d = data.draw(st.sampled_from([2, 3, 5]))
-    batches = data.draw(
-        st.lists(
-            st.lists(st.tuples(st.tuples(*[coordinate] * d), st.booleans()), max_size=6),
-            min_size=1,
-            max_size=6,
-        )
+    batches = st.lists(
+        st.lists(st.tuples(st.tuples(*[coordinate] * d), st.booleans()), max_size=6),
+        min_size=1,
+        max_size=6,
     )
+    histories = [update_front_history(data.draw(batches)) for _ in range(data.draw(st.integers(1, 3)))]
     reference = np.array(data.draw(st.tuples(*[st.sampled_from([0.6, 1.1])] * d)))
-    front, records = [], []
-    for g, batch in enumerate(batches):
-        newcomers = [
-            Individual(point=np.array(p), objectives=SimpleNamespace(feasible=feasible))
-            for p, feasible in batch
-        ]
-        kept, arrivals = _update_front(front, newcomers)
-        front = kept + arrivals
-        records.append(GenerationRecord(g, g + 1, newcomers, [], front, arrivals, 0.0))
-    history = SimpleNamespace(records=records)
-    expected = [v.hex() for v in incremental_replay(history, reference)]
+    expected = [[v.hex() for v in incremental_replay(history, reference)] for history in histories]
     for cpus in (1, 2, 3):
         with mock.patch.object(parallel, "usable_cpus", lambda: cpus):
-            assert [s.hypervolume.hex() for s in run_snapshots(history, reference)] == expected
+            together = run_snapshots(histories, reference)
+            assert [[s.hypervolume.hex() for s in snaps] for snaps in together] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clip_reduce_keeps_the_rows_order_and_bits_of_reduce_on_clipped_tuples(data):
+    d = data.draw(st.sampled_from([2, 3, 5]))
+    row = st.tuples(*[coordinate] * d)
+    point = data.draw(row)
+    others = data.draw(st.lists(row, min_size=1, max_size=12))
+    others += data.draw(st.lists(st.sampled_from(others), max_size=4))  # exact duplicates
+    expected = metrics._reduce([tuple(map(max, q, point)) for q in others])
+    got = metrics._clip_reduce(np.array(point), np.array(others))
+    assert all(type(x) is float for p in got for x in p)
+    assert [[x.hex() for x in p] for p in got] == [[x.hex() for x in p] for p in expected]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_snapshots_of_real_runs_equal_each_run_alone_bit_for_bit(harbor_scenario, monkeypatch, cpus):
+    histories = [
+        run_single(algorithm, EAConfig(population_size=12, generations=6, greedy=True, seed=seed), harbor_scenario)
+        for algorithm in ("spea2", "de")
+        for seed in (4, 5)
+    ]
+    reference = reference_point(all_front_points(histories))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    alone = [run_snapshots([h], reference)[0] for h in histories]
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    together = run_snapshots(histories, reference)
+    assert [[s.hypervolume.hex() for s in snaps] for snaps in together] == [
+        [s.hypervolume.hex() for s in snaps] for snaps in alone
+    ]
+    assert together == alone and len(together) == 4
 
 
 @pytest.mark.filterwarnings("ignore::bwopt.objectives.EvaluationWarning")  # tiny_discrete's +100 % cost
