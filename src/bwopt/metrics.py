@@ -354,8 +354,8 @@ def run_snapshots(histories, reference: np.ndarray) -> list[list[FrontSnapshot]]
 
 def _job_exclusive(rows: np.ndarray, point: Point, row: int, ref: Point) -> float:
     """_exclusive(point, rows[:row] as tuples, ref), its top level clipped and reduced on the array."""
-    if row <= 1:
-        return _exclusive(point, list(map(tuple, rows[:row].tolist())), ref)
+    if row == 0:
+        return math.prod(map(sub, ref, point))
     return math.prod(map(sub, ref, point)) - _hv(_clip_reduce(rows[row], rows[:row]), ref)
 
 

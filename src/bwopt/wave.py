@@ -441,14 +441,12 @@ class ShadowDiffusionModel:
 class FileExchangeWaveModel:
     """Adapter that delegates the simulation to an external command.
 
-    layout_heights runs it once per layout. The adapter writes into the work
-    directory
+    layout_heights runs it once per layout. Per run, the adapter writes
+    into the work directory
         depth.txt      depth matrix in meters, land cells as the land sentinel
-        boundary.txt   'incident_height <m>' and 'wave_direction <deg>' lines
-    once per batch (a direct simulate call writes them once per call), and
         obstacles.txt  one 'col row coefficient' line per obstacle cell
-    once per run. It then runs the command with the work directory as cwd
-    and reads back
+        boundary.txt   'incident_height <m>' and 'wave_direction <deg>' lines
+    then runs the command with the work directory as cwd and reads back
         heights.txt    n_rows lines of n_cols space-separated heights (m)
     Heights on land cells are ignored and forced to zero; a NaN, infinite or
     negative height on a water cell raises ValueError. A nonzero exit status
@@ -467,32 +465,23 @@ class FileExchangeWaveModel:
 
     def layout_heights(self, scenario, layouts) -> np.ndarray:
         """One solver run per layout, over the existing cells and its own, sampled at the control points."""
-        workdir = self._inputs(scenario.grid, scenario.boundary)
         out = np.empty((len(layouts), len(scenario.control_points)))
         for row, cells in zip(out, layouts):
             obstacles = ObstacleSet.from_pairs([*scenario.existing_cells, *cells])
-            row[:] = sample(self._run(workdir, scenario.grid, obstacles), scenario.control_points)
+            row[:] = sample(self.simulate(scenario.grid, obstacles, scenario.boundary), scenario.control_points)
         return out
 
     def simulate(self, grid, obstacles, boundary) -> np.ndarray:
-        return self._run(self._inputs(grid, boundary), grid, obstacles)
-
-    def _inputs(self, grid, boundary) -> Path:
-        """This process's work directory, with depth.txt and boundary.txt written into it."""
         pid = os.getpid()
         workdir = self.workdir if pid == self._pid else self.workdir / f"worker_{pid}"
         workdir.mkdir(parents=True, exist_ok=True)
         write_field(workdir / "depth.txt", grid.depth)
-        with open(workdir / "boundary.txt", "w") as fh:
-            fh.write(f"incident_height {boundary.incident_height!r}\n")
-            fh.write(f"wave_direction {boundary.wave_direction!r}\n")
-        return workdir
-
-    def _run(self, workdir: Path, grid, obstacles) -> np.ndarray:
-        """Write obstacles.txt, run the command once and read back its checked field."""
         with open(workdir / "obstacles.txt", "w") as fh:
             for (col, row), coeff in sorted(obstacles.cells.items()):
                 fh.write(f"{col} {row} {coeff!r}\n")
+        with open(workdir / "boundary.txt", "w") as fh:
+            fh.write(f"incident_height {boundary.incident_height!r}\n")
+            fh.write(f"wave_direction {boundary.wave_direction!r}\n")
         done = subprocess.run(self.command, cwd=workdir, stderr=subprocess.PIPE)
         if done.returncode != 0:
             tail = done.stderr.decode(errors="replace")[-STDERR_TAIL_CHARS:]

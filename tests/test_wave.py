@@ -1,6 +1,5 @@
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -627,45 +626,6 @@ def test_file_exchange_model_round_trip(tmp_path):
     assert (work / "depth.txt").exists()
     assert (work / "obstacles.txt").read_text() == "1 1 0.5\n"
     assert "incident_height 2.0" in (work / "boundary.txt").read_text()
-
-
-LOGGING_MODEL = EXTERNAL_MODEL + """\
-import shutil, sys
-from pathlib import Path
-log = Path(sys.argv[1])
-shutil.copy("obstacles.txt", log / f"{len(list(log.iterdir()))}.txt")
-"""
-
-
-def test_file_exchange_batch_writes_depth_and_boundary_once(tmp_path, monkeypatch, tiny_scenario):
-    script = tmp_path / "model.py"
-    script.write_text(LOGGING_MODEL)
-    logs = [tmp_path / "batch_log", tmp_path / "direct_log"]
-    for log in logs:
-        log.mkdir()
-    written = []
-
-    def counted_write_field(path, *args):
-        written.append(Path(path).name)
-        write_field(path, *args)
-
-    monkeypatch.setattr(wave, "write_field", counted_write_field)
-    layouts = [[((1, 1), 0.5)], [((2, 1), 0.0), ((2, 2), 0.25)], []]
-    batch = FileExchangeWaveModel([sys.executable, str(script), str(logs[0])], tmp_path / "batch")
-    heights = batch.layout_heights(tiny_scenario, layouts)
-    assert written == ["depth.txt"]
-    # a direct simulate call still writes all three files
-    direct = FileExchangeWaveModel([sys.executable, str(script), str(logs[1])], tmp_path / "direct")
-    for row, cells in zip(heights, layouts):
-        obstacles = ObstacleSet.from_pairs([*tiny_scenario.existing_cells, *cells])
-        field = direct.simulate(tiny_scenario.grid, obstacles, tiny_scenario.boundary)
-        assert row.tobytes() == sample(field, tiny_scenario.control_points).tobytes()
-    assert written == ["depth.txt"] * 4
-    for name in ("depth.txt", "boundary.txt"):
-        assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
-    # each run's obstacles.txt is the one a direct call writes for that layout
-    for k in range(len(layouts)):
-        assert (logs[0] / f"{k}.txt").read_bytes() == (logs[1] / f"{k}.txt").read_bytes()
 
 
 def test_file_exchange_model_rejects_wrong_shape(tmp_path):
