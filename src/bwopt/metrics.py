@@ -15,7 +15,13 @@ points, where NumPy's per-call overhead costs more than the arithmetic. The
 one exception is the top level of each of run_snapshots' exclusive volumes,
 where a whole previous front (about a hundred points) is clipped into the
 arrival's box and reduced to about ten: _clip_reduce does that on arrays,
-with the same rows and bits as _reduce. Every box product multiplies the
+with the same rows and bits as _reduce. The tuple levels below it, 4-D and
+3-D for a 5-D front (about ten and four points), clip and reduce in one
+pass of inlined comparisons (_clip_reduce_tuples), since there each builtin
+call costs more than the comparison it makes; other dimensions take the
+generic expressions. Every clip picks what builtin max(q, point) picks:
+point's coordinate only where it is greater, so a tie, -0.0 against 0.0
+included, keeps q's value and sign. Every box product multiplies the
 coordinates left to right, and every sum adds the points in _reduce's
 sorted order. Float addition is not associative, so this fixed order is
 what makes each value, and every exported file that carries one, the same
@@ -147,8 +153,51 @@ def _exclusive(point: Point, others: list[Point], ref: Point) -> float:
     if len(others) == 1:
         return exclusive - math.prod(map(sub, ref, map(max, others[0], point)))
     if others:
-        exclusive -= _hv(_reduce([tuple(map(max, q, point)) for q in others]), ref)
+        exclusive -= _hv(_clip_reduce_tuples(point, others), ref)
     return exclusive
+
+
+def _clip_reduce_tuples(point: Point, others: list[Point]) -> list[Point]:
+    """_reduce([tuple(map(max, q, point)) for q in others]): the same rows, order and bits.
+
+    Each coordinate is clipped to what builtin max(q, point) picks, point's
+    value only where it is greater, so a tie keeps q's value and sign. After
+    _reduce's sort every earlier row is <= in the last coordinate, so the kept
+    test compares only the first d - 1. The 4-D and 3-D levels, the ones a
+    5-D front reaches below run_snapshots' array top level, are inlined;
+    every other d takes the generic expressions. others must be non-empty.
+    """
+    d = len(point)
+    if d == 4:
+        a, b, c, e = point
+        clipped = [
+            (a if a > q0 else q0, b if b > q1 else q1, c if c > q2 else q2, e if e > q3 else q3)
+            for q0, q1, q2, q3 in others
+        ]
+        clipped.sort(key=itemgetter(3, 2, 1, 0))
+        kept: list[Point] = []
+        for p in clipped:
+            p0, p1, p2, _ = p
+            for k0, k1, k2, _ in kept:
+                if k0 <= p0 and k1 <= p1 and k2 <= p2:
+                    break
+            else:
+                kept.append(p)
+        return kept
+    if d == 3:
+        a, b, c = point
+        clipped = [(a if a > q0 else q0, b if b > q1 else q1, c if c > q2 else q2) for q0, q1, q2 in others]
+        clipped.sort(key=itemgetter(2, 1, 0))
+        kept = []
+        for p in clipped:
+            p0, p1, _ = p
+            for k0, k1, _ in kept:
+                if k0 <= p0 and k1 <= p1:
+                    break
+            else:
+                kept.append(p)
+        return kept
+    return _reduce([tuple(map(max, q, point)) for q in others])
 
 
 def _clip_reduce(point: np.ndarray, others: np.ndarray) -> list[Point]:

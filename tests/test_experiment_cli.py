@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import sys
 from dataclasses import replace
@@ -6,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import evaluate_each, scenario_dict
 from bwopt import parallel
@@ -15,6 +19,7 @@ from bwopt.experiment import (
     DEFAULT_SEEDS,
     ExperimentPlan,
     VariantSpec,
+    _json_default,
     load_plan,
     optimize_once,
     plan_from_dict,
@@ -22,6 +27,7 @@ from bwopt.experiment import (
     resolve_scenario,
     run_experiment,
     shipped_scenario_path,
+    write_json,
 )
 from bwopt.geometry import Encoding, Genotype
 from bwopt.objectives import simulate_layout
@@ -237,6 +243,76 @@ def test_resolve_unknown_name():
 
 def test_shipped_scenario_path_accepts_extension():
     assert shipped_scenario_path("tiny_discrete.json") == shipped_scenario_path("tiny_discrete")
+
+
+# ----- JSON writer -----
+
+def json_text(obj) -> str:
+    """What write_json must write: json's own rendering of obj and a newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+
+
+def written(path: Path, obj) -> str:
+    write_json(path, obj)
+    return path.read_text()
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+    | st.text()
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    )
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3),  # keys json turns into strings
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_values)
+def test_write_json_writes_the_text_of_json_dump(tmp_path, obj):
+    assert written(tmp_path / "out.json", obj) == json_text(obj)
+
+
+def test_write_json_examples_write_the_text_of_json_dump(tmp_path):
+    shared = np.array([[1.5, -0.0], [2.0, 1e-300]])
+    cases = [
+        {'quote " and \\': 1, "tab\tnew\nline\x00": [2], "caf\u00e9 \u6f22 \U0001f30a": {"": None}},
+        [[], (), {}, (1, [2.5, (3,)]), np.array([]), np.zeros((0, 3)), np.zeros((2, 0))],
+        {"f": np.array([0.1, -2.5e-7, 3.0]), "i": np.arange(4), "m": np.array([[1, 2], [3, 4]])},
+        [np.float64(0.1), np.float32(0.1), np.int64(-(2**62)), np.bool_(True), np.bool_(False)],
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, np.float64(-math.inf), True, False, None, 2**100, -(2**70)],
+        {"non-str keys": {2: "b", 10: "a", -1: [1.0]}, "nested": [{1.5: np.arange(2)}]},
+        {"top": shared, "twice": [shared, shared], "deeper": {"again": [shared, {"and": shared}]}},
+        1.25,
+        "text",
+        shared,
+    ]
+    for obj in cases:
+        assert written(tmp_path / "out.json", obj) == json_text(obj)
+
+
+def test_write_json_renders_an_array_anew_in_each_call(tmp_path):
+    point = np.array([1.0, 2.0])
+    write_json(tmp_path / "a.json", {"front": [point, point]})
+    point[0] = -3.0
+    obj = {"front": [point, point]}
+    assert written(tmp_path / "b.json", obj) == json_text(obj)
 
 
 # ----- experiment driver -----

@@ -611,6 +611,36 @@ def test_clip_reduce_keeps_the_rows_order_and_bits_of_reduce_on_clipped_tuples(d
     assert [[x.hex() for x in p] for p in got] == [[x.hex() for x in p] for p in expected]
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_clip_reduce_tuples_keeps_the_rows_order_and_bits_of_reduce_on_max_clipped_tuples(data):
+    # IncrementalHypervolume goes through the same _exclusive, so the replays above do not check this
+    d = data.draw(st.sampled_from([2, 3, 4, 5, 6]))
+    row = st.tuples(*[coordinate] * d)
+    point = data.draw(row)
+    others = data.draw(st.lists(row, min_size=1, max_size=12))
+    # each row takes point's value in some coordinates, a zero with the other sign: ties with
+    # point on both signs of zero, and between rows in the sort keys
+    masks = data.draw(st.lists(st.tuples(*[st.booleans()] * d), min_size=len(others), max_size=len(others)))
+    others = [
+        tuple((-p if p == 0 else p) if tied else x for x, p, tied in zip(q, point, mask))
+        for q, mask in zip(others, masks)
+    ]
+    others += data.draw(st.lists(st.sampled_from(others), max_size=4))  # exact duplicates
+    expected = metrics._reduce([tuple(map(max, q, point)) for q in others])
+    got = metrics._clip_reduce_tuples(point, others)
+    assert [[x.hex() for x in p] for p in got] == [[x.hex() for x in p] for p in expected]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_clip_reduce_tuples_orders_rows_tied_in_the_later_coordinates_by_the_earlier_ones(d):
+    tail = (0.125,) * (d - 2)
+    others = [(0.25, 0.75, *tail), (0.75, 0.25, *tail), (0.5, 0.5, *tail)]
+    got = metrics._clip_reduce_tuples((0.0,) * d, others)
+    assert got == [(0.75, 0.25, *tail), (0.5, 0.5, *tail), (0.25, 0.75, *tail)]
+    assert got == metrics._reduce([tuple(map(max, q, (0.0,) * d)) for q in others])
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_run_snapshots_of_real_runs_equal_each_run_alone_bit_for_bit(harbor_scenario, monkeypatch, cpus):
     histories = [
